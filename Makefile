@@ -16,19 +16,17 @@ vet:
 # four tiers: the syntactic determinism/exhaustive rules, the typed
 # mbuflife/locking/hotpath rules, the interprocedural
 # shardowned/seedflow/barrier rules, and the dimensional-inference dim
-# rule DESIGN.md §7 specifies. (The syntactic units heuristic is
-# demoted whenever dim runs; lint-fast keeps it as the cheap stand-in.)
-# It exits nonzero with file:line:col diagnostics on any finding and
-# leaves the machine-readable artifact in ctmsvet.json for CI to
-# archive.
+# rule DESIGN.md §7 specifies (the one unit checker). It exits nonzero
+# with file:line:col diagnostics on any finding and leaves the
+# machine-readable artifact in ctmsvet.json for CI to archive.
 lint:
 	$(GO) run ./cmd/ctmsvet -out ctmsvet.json
 
-# The edit-compile loop's lint: the syntactic tier alone (no go/types
-# loading, units included), restricted to files differing from HEAD —
-# sub-second on a clean tree, still instant with a handful of files in
-# flight. The full tree and all four tiers run in `make lint` (and ci),
-# which stays the gate.
+# The edit-compile loop's lint: the syntactic tier alone (determinism
+# and exhaustive; no go/types loading, so no unit checking), restricted
+# to files differing from HEAD — sub-second on a clean tree, still
+# instant with a handful of files in flight. The full tree and all four
+# tiers run in `make lint` (and ci), which stays the gate.
 lint-fast:
 	$(GO) run ./cmd/ctmsvet -typed=false -changed HEAD
 
@@ -65,12 +63,12 @@ bench:
 # Refresh the baseline with: make bench-baseline (on a quiet machine).
 bench-check:
 	$(GO) run ./cmd/ctmsbench -experiment E17 -minutes 0.35 -parallel 1 \
-		-shards 1,2,4,8 -topo 4,8 -population -lint \
+		-topo 4,8 -population -lint \
 		-benchout /tmp/ctmsbench-check.json -compare BENCH.baseline.json
 
 bench-baseline:
 	$(GO) run ./cmd/ctmsbench -experiment E17 -minutes 0.35 -parallel 1 \
-		-shards 1,2,4,8 -topo 4,8 -population -lint \
+		-topo 4,8 -population -lint \
 		-benchout BENCH.baseline.json
 
 # The public API surface (go doc -all of the root package) is pinned in

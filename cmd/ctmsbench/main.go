@@ -19,10 +19,9 @@
 //	ctmsbench -parallel 8      # worker count (default GOMAXPROCS)
 //	ctmsbench -benchout x.json # where to write the perf record ("" = off)
 //	ctmsbench -scenario f.json # run custom Options scenario(s) from a file
-//	ctmsbench -shards 1,2,4,8  # E18 backbone shard-scaling benchmark
 //	ctmsbench -topo 4,8        # E20 mesh topology-scaling benchmark
 //	ctmsbench -population      # E19 population sweep rows in BENCH.json
-//	ctmsbench -lint            # time the three ctmsvet tiers, record rows
+//	ctmsbench -lint            # time the four ctmsvet tiers, record rows
 //	ctmsbench -cpuprofile c.pb # write a CPU profile of the whole run
 //	ctmsbench -memprofile m.pb # write a heap profile at exit
 //
@@ -31,18 +30,10 @@
 // "12ms"-style strings or nanosecond counts). Scenario mode runs each one
 // and prints its report instead of the experiment matrix.
 //
-// The -shards benchmark runs the E18 eight-ring backbone once per
-// requested worker count (the first count is the reference, normally 1)
-// and records wall time, simsec/s, speedup and whether the fingerprint
-// stayed bit-identical to the reference in BENCH.json's shard_scaling
-// rows. Real speedup needs as many free cores as shard workers; on a
-// smaller host the rows still gate correctness (identical=true) while
-// the speedup column honestly reports the time-sharing loss.
-//
 // The -topo benchmark scales the E20 metro mesh across grid sides (a
 // side-K entry is a K×K grid with a diagonal trunk, K² rings). Each side
 // runs twice — the serial oracle and a sharded run at min(rings,
-// GOMAXPROCS) workers — and records wall time, simsec/s, allocations per
+// max(4, GOMAXPROCS)) workers — and records wall time, simsec/s, allocations per
 // forwarded cross-ring frame (a whole-run mallocs delta over the mesh's
 // forwarded-frame count, so the driver path is included — the pooled
 // forwarding layer itself is pinned to zero by unit tests), the
@@ -145,7 +136,6 @@ type benchRecord struct {
 	Events       uint64            `json:"events"`
 	Failures     int               `json:"failures"`
 	Experiments  []benchExperiment `json:"experiments"`
-	ShardScaling []shardScaling    `json:"shard_scaling,omitempty"`
 	TopoScaling  []topoScaling     `json:"topo_scaling,omitempty"`
 	Population   []populationRow   `json:"population,omitempty"`
 	Lint         []lintRow         `json:"lint_wall_seconds,omitempty"`
@@ -178,19 +168,6 @@ type populationRow struct {
 	WorstGPM      float64 `json:"worst_glitch_per_min"`
 	LatencyN      uint64  `json:"latency_samples"`
 	WallSeconds   float64 `json:"wall_seconds"`
-}
-
-// shardScaling is one row of the E18 backbone scaling benchmark: the same
-// internetwork at one worker count. Identical reports whether the run's
-// fingerprint matched the reference (first) row — the engine's whole
-// claim — and Speedup is reference wall time over this row's wall time.
-type shardScaling struct {
-	Shards       int     `json:"shards"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	SimSeconds   float64 `json:"sim_seconds"`
-	SimSecPerSec float64 `json:"sim_seconds_per_second"`
-	Speedup      float64 `json:"speedup"`
-	Identical    bool    `json:"identical"`
 }
 
 // topoScaling is one row of the E20 mesh topology-scaling benchmark: one
@@ -239,7 +216,7 @@ func main() {
 // writers' defers always run.
 func realMain() int {
 	var (
-		experiment = flag.String("experiment", "", "run a single experiment (E1..E18)")
+		experiment = flag.String("experiment", "", "run a single experiment (E1..E20)")
 		scenario   = flag.String("scenario", "", "run ctms.Options scenario(s) from a JSON file")
 		full       = flag.Bool("full", false, "run the paper's full 117-minute durations")
 		minutes    = flag.Float64("minutes", 4, "scenario duration in minutes (ignored with -full)")
@@ -250,7 +227,6 @@ func realMain() int {
 		compare    = flag.String("compare", "", "compare this run against a baseline BENCH.json; exit nonzero on regression")
 		mallocTol  = flag.Float64("malloc-tolerance", 0.10, "with -compare: allowed fractional mallocs growth over the baseline")
 		speedTol   = flag.Float64("speed-tolerance", 0.50, "with -compare: allowed fractional sim_seconds_per_second loss vs the baseline")
-		shards     = flag.String("shards", "", "comma-separated worker counts for the E18 shard-scaling benchmark (e.g. 1,2,4,8; empty disables)")
 		topoSides  = flag.String("topo", "", "comma-separated mesh grid sides for the E20 topology-scaling benchmark (e.g. 4,8; empty disables)")
 		population = flag.Bool("population", false, "run the E19 population offered-load sweep and record its rows")
 		lint       = flag.Bool("lint", false, "time the four ctmsvet tiers on this tree and record lint_wall_seconds rows")
@@ -382,22 +358,6 @@ func realMain() int {
 			wall.Round(time.Millisecond), rec.SimSeconds, rec.SimSecPerSec, *parallel)
 	}
 
-	// The shard-scaling benchmark runs after the matrix so the record's
-	// top-level counters (and the -compare gate built on them) keep
-	// measuring exactly what they always measured.
-	if *shards != "" {
-		rows, err := runShardScaling(*shards, scale, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ctmsbench: %v\n", err)
-			return 1
-		}
-		rec.ShardScaling = rows
-		for _, row := range rows {
-			fmt.Printf("--- shards %d: wall %.2fs  %.0f simsec/s  speedup %.2fx  identical=%t\n",
-				row.Shards, row.WallSeconds, row.SimSecPerSec, row.Speedup, row.Identical)
-		}
-	}
-
 	if *topoSides != "" {
 		rows, err := runTopoScaling(*topoSides, scale, *seed)
 		if err != nil {
@@ -447,12 +407,6 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "ctmsbench: %d experiment(s) deviated from the paper's shape\n", failures)
 		return 1
 	}
-	for _, row := range rec.ShardScaling {
-		if !row.Identical {
-			fmt.Fprintf(os.Stderr, "ctmsbench: %d-shard run diverged from the reference fingerprint\n", row.Shards)
-			return 1
-		}
-	}
 	for _, row := range rec.TopoScaling {
 		if !row.Identical {
 			fmt.Fprintf(os.Stderr, "ctmsbench: %d-ring mesh at %d workers diverged from the serial fingerprint\n",
@@ -469,63 +423,6 @@ func realMain() int {
 			*compare, 100**mallocTol, 100**speedTol)
 	}
 	return 0
-}
-
-// runShardScaling runs the E18 backbone once per requested worker count.
-// The first count is the reference (normally 1, the serial oracle): its
-// fingerprint is what every other row must reproduce and its wall time is
-// the speedup denominator. The simulated duration is the matrix scale
-// capped at 10 s so the benchmark stays a minute-scale addendum.
-func runShardScaling(list string, scale core.Scale, seed int64) ([]shardScaling, error) {
-	var counts []int
-	for _, part := range strings.Split(list, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 || w > 64 {
-			return nil, fmt.Errorf("-shards: bad worker count %q", part)
-		}
-		counts = append(counts, w)
-	}
-	dur := 10 * sim.Second
-	if scale.Duration > 0 && scale.Duration < dur {
-		dur = scale.Duration
-	}
-	base := seed
-	if base == 0 {
-		base = 1991
-	}
-	spec := core.E18Topology(8, core.SweepSeed(base, 18), dur)
-
-	var rows []shardScaling
-	var refFingerprint string
-	var refWall float64
-	for i, w := range counts {
-		n, err := topo.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		simBefore := sim.TotalSimulated()
-		start := time.Now()
-		res := n.Run(w)
-		wallSec := time.Since(start).Seconds()
-		simSec := (sim.TotalSimulated() - simBefore).Seconds()
-		fp := res.Fingerprint()
-		if i == 0 {
-			refFingerprint = fp
-			refWall = wallSec
-		}
-		row := shardScaling{
-			Shards:      w,
-			WallSeconds: wallSec,
-			SimSeconds:  simSec,
-			Identical:   fp == refFingerprint,
-		}
-		if wallSec > 0 {
-			row.SimSecPerSec = simSec / wallSec
-			row.Speedup = refWall / wallSec
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // runTopoScaling runs the E20 metro mesh once serially and once sharded
@@ -654,11 +551,9 @@ func runPopulationBench(scale core.Scale, seed int64, parallel int) ([]populatio
 
 // runLintBench times the four ctmsvet tiers over the repository the
 // benchmark runs in, one row each. The syntactic tier is a pure-AST
-// walk, run without units to mirror `make lint`'s demotion of the
-// syntactic units pass in favor of the dim tier; the typed row carries
-// the go/types load of the whole module; the inter and dim rows reuse
-// that load, so each measures only what its own pass adds — the same
-// split `make lint` pays via cmd/ctmsvet.
+// walk; the typed row carries the go/types load of the whole module;
+// the inter and dim rows reuse that load, so each measures only what
+// its own pass adds — the same split `make lint` pays via cmd/ctmsvet.
 func runLintBench() ([]lintRow, error) {
 	root, err := analyzers.FindModuleRoot(".")
 	if err != nil {
@@ -666,7 +561,7 @@ func runLintBench() ([]lintRow, error) {
 	}
 
 	start := time.Now()
-	syn, err := analyzers.RunRepo(root, "determinism", "exhaustive")
+	syn, err := analyzers.RunRepo(root)
 	if err != nil {
 		return nil, fmt.Errorf("-lint syntactic tier: %w", err)
 	}
@@ -731,35 +626,13 @@ func compareBench(path string, rec benchRecord, mallocTol, speedTol float64) err
 		problems = append(problems, fmt.Sprintf("sim_seconds_per_second %.1f fell below baseline %.1f by more than %.0f%% (floor %.1f)",
 			rec.SimSecPerSec, base.SimSecPerSec, 100*speedTol, floor))
 	}
-	// Shard-scaling rows are compared only when both records carry them,
-	// so a baseline regenerated without -shards (or one predating the
-	// sharded engine) never trips the gate. Where a shard count exists on
-	// both sides the run must stay bit-identical and hold the same speed
-	// floor the matrix holds; the speedup column is informational (it
-	// measures the host's free cores, not the code).
-	for _, row := range rec.ShardScaling {
-		for _, b := range base.ShardScaling {
-			if b.Shards != row.Shards {
-				continue
-			}
-			if !row.Identical {
-				problems = append(problems, fmt.Sprintf(
-					"%d-shard run no longer bit-identical to the serial oracle", row.Shards))
-			}
-			if floor := b.SimSecPerSec * (1 - speedTol); b.SimSecPerSec > 0 && row.SimSecPerSec < floor {
-				problems = append(problems, fmt.Sprintf(
-					"%d-shard sim_seconds_per_second %.1f fell below baseline %.1f (floor %.1f)",
-					row.Shards, row.SimSecPerSec, b.SimSecPerSec, floor))
-			}
-		}
-	}
-	// Topo-scaling rows follow the shard-scaling rule: compared only where
-	// a (rings, workers) pair exists in both records, so baselines
-	// regenerated without -topo never trip the gate. A matched row must be
-	// bit-identical to its serial oracle and hold the matrix speed floor;
-	// the allocation column additionally gates with the malloc tolerance —
-	// allocs per forwarded frame is a per-unit cost, so host variance
-	// cannot inflate it the way wall time inflates raw counters.
+	// Topo-scaling rows are compared only where a (rings, workers) pair
+	// exists in both records, so baselines regenerated without -topo never
+	// trip the gate. A matched row must be bit-identical to its serial
+	// oracle and hold the matrix speed floor; the allocation column
+	// additionally gates with the malloc tolerance — allocs per forwarded
+	// frame is a per-unit cost, so host variance cannot inflate it the way
+	// wall time inflates raw counters.
 	for _, row := range rec.TopoScaling {
 		for _, b := range base.TopoScaling {
 			if b.Rings != row.Rings || b.Workers != row.Workers {

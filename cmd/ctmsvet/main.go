@@ -1,14 +1,10 @@
 // Command ctmsvet runs the repository's custom static-analysis suite
-// (see DESIGN.md §7): the syntactic tier — determinism, units,
-// exhaustive — the typed tier — mbuflife, locking, hotpath — the
-// interprocedural tier — shardowned, seedflow, barrier — and the
-// dimensional-inference tier — dim — of internal/analyzers. It is the
-// `make lint` step of `make ci`.
-//
-// When the dim tier runs (the default), the syntactic units analyzer is
-// demoted: dim subsumes it with interprocedural dimension propagation,
-// so running both would double-report clean-tree findings. The fast
-// -typed=false path (make lint-fast) keeps units as the cheap stand-in.
+// (see DESIGN.md §7): the syntactic tier — determinism, exhaustive —
+// the typed tier — mbuflife, locking, hotpath — the interprocedural
+// tier — shardowned, seedflow, barrier — and the dimensional-inference
+// tier — dim — of internal/analyzers. It is the `make lint` step of
+// `make ci`. Unit checking needs go/types, so the fast -typed=false
+// path (make lint-fast) runs the syntactic tier without it.
 //
 // Usage:
 //
@@ -67,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outPath      = fs.String("out", "", "write the findings JSON artifact to this file")
 		typed        = fs.Bool("typed", true, "run the typed tier (mbuflife, locking, hotpath); =false is the fast syntactic pass")
 		inter        = fs.Bool("inter", true, "run the interprocedural tier (shardowned, seedflow, barrier); needs -typed")
-		dim          = fs.Bool("dim", true, "run the dimensional-inference tier (dim); needs -typed; demotes the syntactic units analyzer")
+		dim          = fs.Bool("dim", true, "run the dimensional-inference tier (dim); needs -typed")
 		changedRef   = fs.String("changed", "", "report only findings in files differing from this git ref (plus untracked files)")
 		list         = fs.Bool("list", false, "print the analyzer names and exit")
 	)
@@ -126,16 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// With the dim tier on and no explicit selection, the syntactic
-	// units analyzer is demoted: dim propagates the same name-derived
-	// dimensions interprocedurally, so units would double-report every
-	// clean-tree finding. An explicit -analyzers selection is honored
-	// verbatim either way.
-	syntacticOnly := only
-	if len(only) == 0 && *typed && *dim {
-		syntacticOnly = []string{"determinism", "exhaustive"}
-	}
-	diags, err := analyzers.RunRepo(dir, syntacticOnly...)
+	diags, err := analyzers.RunRepo(dir, only...)
 	if err != nil {
 		fmt.Fprintf(stderr, "ctmsvet: %v\n", err)
 		return 2

@@ -95,7 +95,7 @@ func TestCLIAnalyzersFlag(t *testing.T) {
 	dir := scratchModule(t)
 
 	// Selecting an analyzer that cannot fire here passes.
-	code, _, stderr := runCLI(t, "-root", dir, "-typed=false", "-analyzers", "determinism,units")
+	code, _, stderr := runCLI(t, "-root", dir, "-typed=false", "-analyzers", "determinism,dim")
 	if code != 0 {
 		t.Fatalf("exit %d with exhaustive deselected\nstderr:\n%s", code, stderr)
 	}

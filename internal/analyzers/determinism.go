@@ -1,9 +1,6 @@
 package analyzers
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // Determinism enforces the reproduction's headline property — the same
 // seed and config produce bit-identical results at any parallelism — at
@@ -127,31 +124,11 @@ func checkMapRange(p *Pass, f *ast.File, rs *ast.RangeStmt, mapNames map[string]
 	})
 }
 
-// isTraceEmit recognizes the repo's trace-recording calls: Trace.Add /
-// Trace.Addf (and Emit/Tracef-style names), by method name plus a
-// trace-ish receiver for the generic "Add".
+// isTraceEmit recognizes the repo's one trace-recording call,
+// sim.Trace.AddEvent, by method name.
 func isTraceEmit(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Addf", "Emit", "Tracef":
-		return true
-	case "Add":
-		return strings.Contains(strings.ToLower(exprName(sel.X)), "trace")
-	}
-	return false
-}
-
-func exprName(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprName(x.X) + "." + x.Sel.Name
-	}
-	return ""
+	return ok && sel.Sel.Name == "AddEvent"
 }
 
 // isMapExpr reports whether e is, by best-effort syntactic inference, a

@@ -6,10 +6,9 @@ package analyzers
 // 100 Mbit/s ring carry 1.2 Mbit/s streams to hundreds of users — so
 // the worst silent bug class in this reproduction is a units error:
 // bits flowing into a bytes slot, a per-frame size used as a
-// per-second rate, a duration multiplied into a rate. The syntactic
-// units analyzer pattern-matches identifier suffixes one expression at
-// a time; this tier instead assigns every value a *dimension* — an
-// element of the free abelian group over the base units
+// per-second rate, a duration multiplied into a rate. This tier
+// assigns every value a *dimension* — an element of the free abelian
+// group over the base units
 //
 //	{bit, byte, s, frame, sample}
 //
@@ -24,7 +23,7 @@ package analyzers
 //     field, const/var spec, type declaration, or (naming the
 //     parameter) a function's doc comment;
 //  2. the identifier's own name (...Bits, ...BytesPerSec, sampleHz,
-//     WallSeconds — the same convention the syntactic tier enforces);
+//     WallSeconds — the repo's unit-naming convention);
 //  3. the declared type: time.Duration, and any named type whose
 //     declaration carries a //ctmsvet:unit directive (sim.Time), seed
 //     seconds.
@@ -36,10 +35,16 @@ package analyzers
 // blessed conversion: multiplying a byte-dimensioned value by the
 // literal constant 8 yields bits, dividing a bit-dimensioned value by
 // 8 yields bytes.
+//
+// The convention also binds names that seed nothing: a numeric field,
+// parameter or variable called rate, budget or bw must say its unit
+// (rateBitsPerSec, budgetBytes) or carry a directive, since an
+// unlabeled rate is exactly where a forgotten ×8 hides.
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The base-unit axes of the dimension group, in rendering order.
@@ -253,6 +258,38 @@ var (
 		"sample": dimSample, "samples": dimSample,
 	}
 )
+
+// splitWords breaks an identifier into lowercase words at camelCase
+// boundaries, digits and underscores: "RingBitRate" -> [ring bit rate],
+// "rateBytesPerSec" -> [rate bytes per sec].
+func splitWords(name string) []string {
+	var words []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			words = append(words, strings.ToLower(cur.String()))
+			cur.Reset()
+		}
+	}
+	runes := []rune(name)
+	for i, r := range runes {
+		switch {
+		case r == '_' || unicode.IsDigit(r):
+			flush()
+		case unicode.IsUpper(r):
+			// New word unless we are inside an acronym run (previous is
+			// upper and next is not lower).
+			if i > 0 && (!unicode.IsUpper(runes[i-1]) || (i+1 < len(runes) && unicode.IsLower(runes[i+1]))) {
+				flush()
+			}
+			cur.WriteRune(r)
+		default:
+			cur.WriteRune(r)
+		}
+	}
+	flush()
+	return words
+}
 
 // dimFromName derives a dimension from an identifier's words, or
 // ok=false when the name carries none (or mixes bit and byte words — a

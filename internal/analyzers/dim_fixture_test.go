@@ -64,6 +64,13 @@ func TestDimDirectiveFixture(t *testing.T) {
 	runDimFixture(t, "directives")
 }
 
+// TestDimUnitsFixture: the bit/byte naming rules — mismatched
+// assignments, arguments, returns and fields, mixed sums, and
+// rate-named values that say no unit.
+func TestDimUnitsFixture(t *testing.T) {
+	runDimFixture(t, "units")
+}
+
 // TestDimStringRoundTrip: Dim.String renders every dimension in the
 // exact grammar ParseDim accepts, so annotations echoed in diagnostics
 // can be pasted back into directives.

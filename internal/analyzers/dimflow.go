@@ -1096,6 +1096,102 @@ func (w *dimWorld) scaleOrConvert(tp *TypedPackage, v dimVal, c constant.Value, 
 	return v
 }
 
+// ---- unitless rates --------------------------------------------------
+
+// ambiguousRateName reports a name that denotes a rate or budget. Such a
+// name must also say its unit, which the caller checks as "has a
+// dimension seed": rateBitsPerSec and budgetMs seed one, rate and bw do
+// not.
+func ambiguousRateName(name string) bool {
+	for _, w := range splitWords(name) {
+		switch w {
+		case "rate", "budget", "bw", "bandwidth":
+			return true
+		}
+	}
+	return false
+}
+
+// basicNumeric reports a plain int or float type: the only types where a
+// unitless rate name can hide an 8x error (a named type can carry its
+// own //ctmsvet:unit directive).
+func basicNumeric(t types.Type) bool {
+	b, ok := types.Unalias(t).(*types.Basic)
+	return ok && b.Info()&types.IsNumeric != 0
+}
+
+// unitlessRates flags the rate-named numeric objects of tp that have no
+// dimension seed: a struct field or function parameter by its name
+// alone, and a variable or constant once the solver has found it
+// holding bits or bytes — the values whose unit a ×8 changes.
+func (w *dimWorld) unitlessRates(tp *TypedPackage) []Diagnostic {
+	var diags []Diagnostic
+	report := func(id *ast.Ident, format string, args ...any) {
+		pos := tp.Fset.Position(id.Pos())
+		diags = append(diags, Diagnostic{
+			Analyzer: DimAnalyzerName,
+			File:     pos.Filename, Line: pos.Line, Col: pos.Column,
+			Message: fmt.Sprintf(format, args...),
+		})
+	}
+	unseeded := func(id *ast.Ident) *dimNode {
+		obj := tp.Info.Defs[id]
+		if obj == nil || !ambiguousRateName(id.Name) || !basicNumeric(obj.Type()) {
+			return nil
+		}
+		if n := w.nodeFor(obj); n.seed == seedNone {
+			return n
+		}
+		return nil
+	}
+	inferred := func(id *ast.Ident) {
+		if n := unseeded(id); n != nil && n.known && (n.d.exp[dimBit] != 0 || n.d.exp[dimByte] != 0) {
+			report(id, "%s is a unitless rate holding %s values (%s); name the unit (e.g. %sBitsPerSec, %sBytesPerSec)",
+				id.Name, n.d, w.renderChain(n.steps), id.Name, id.Name)
+		}
+	}
+	for _, f := range tp.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, id := range field.Names {
+							if unseeded(id) != nil {
+								report(id, "field %s.%s is a unitless rate; name the unit (e.g. %sBits, %sBytesPerSec)",
+									x.Name.Name, id.Name, id.Name, id.Name)
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				for _, field := range x.Type.Params.List {
+					for _, id := range field.Names {
+						if unseeded(id) != nil {
+							report(id, "parameter %s of %s is a unitless rate; name the unit (e.g. %sBitsPerSec, %sBytesPerSec)",
+								id.Name, x.Name.Name, id.Name, id.Name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if x.Tok == token.DEFINE {
+					for _, lhs := range x.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok {
+							inferred(id)
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for _, id := range x.Names {
+					inferred(id)
+				}
+			}
+			return true
+		})
+	}
+	return diags
+}
+
 // ---- entry points ----------------------------------------------------
 
 // RunDim executes the dimensional-inference tier over a loaded module.
@@ -1124,6 +1220,7 @@ func RunDim(mod *Module, scope map[string]bool) []Diagnostic {
 		if scope != nil && !scope[tp.Dir] {
 			continue
 		}
+		diags = append(diags, w.unitlessRates(tp)...)
 		directives = append(directives, collectDirectives(tp.Package)...)
 	}
 	diags = suppressDiagnostics(diags, directives)

@@ -111,10 +111,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, filepath.Join("testdata", "determinism"), Determinism)
 }
 
-func TestUnitsFixture(t *testing.T) {
-	runFixture(t, filepath.Join("testdata", "units"), Units)
-}
-
 func TestExhaustiveFixture(t *testing.T) {
 	runFixture(t, filepath.Join("testdata", "exhaustive"), Exhaustive)
 }

@@ -13,7 +13,7 @@ import (
 // both trust these properties.
 func FuzzAllowDirective(f *testing.F) {
 	f.Add("//ctmsvet:allow determinism seeded fixture clock")
-	f.Add("//ctmsvet:allow units")
+	f.Add("//ctmsvet:allow dim")
 	f.Add("//ctmsvet:allow")
 	f.Add("//ctmsvet:allowx")
 	f.Add("//ctmsvet:allow  hotpath   reason with   spaces  ")
@@ -88,7 +88,7 @@ func FuzzUnitDirective(f *testing.F) {
 	f.Add("//ctmsvet:unit 1^2")
 	f.Add("//ctmsvet:unitx bit")
 	f.Add("// ctmsvet:unit bit leading space disqualifies")
-	f.Add("//ctmsvet:allow units not a unit directive")
+	f.Add("//ctmsvet:allow dim not a unit directive")
 	f.Add("/*ctmsvet:unit block*/")
 	f.Add("")
 	f.Add("//ctmsvet:unit\tbit/s\ttab separated")

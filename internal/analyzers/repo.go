@@ -46,8 +46,8 @@ var SimCriticalExemptions = map[string]string{
 }
 
 // All lists every syntactic-tier analyzer, for scope policy and
-// tooling; AnalyzerNames (typed.go) spans all three tiers.
-var All = []*Analyzer{Determinism, Units, Exhaustive}
+// tooling; AnalyzerNames (typed.go) spans all four tiers.
+var All = []*Analyzer{Determinism, Exhaustive}
 
 // selectSyntactic intersects a scope's analyzer list with an -analyzers
 // selection; an empty selection means everything.
@@ -70,15 +70,13 @@ func selectSyntactic(only []string, as ...*Analyzer) []*Analyzer {
 // RunRepo runs the syntactic tier with its repo scoping rules, rooted
 // at the module root: determinism over the sim-critical packages only
 // (commands and the measurement harness legitimately read the host
-// clock); units over those plus the root package, where the public
-// Options/Session API lives; exhaustive over every package, since
-// //ctmsvet:enum registration is per-package and self-gating. Every
-// package joining the run also gets its //ctmsvet:allow directives
-// validated — a typo'd allow in a typed-tier-only package must not rot
-// silently. An optional selection
-// restricts which analyzers run; the cross-package Index is built from
-// the full scope either way, so a restricted run sees the same index a
-// full run does.
+// clock); exhaustive over every package, since //ctmsvet:enum
+// registration is per-package and self-gating. Every package joining
+// the run also gets its //ctmsvet:allow directives validated — a
+// typo'd allow in a typed-tier-only package must not rot silently. An
+// optional selection restricts which analyzers run; the cross-package
+// Index is built from the sim-critical packages either way, so a
+// restricted run sees the same index a full run does.
 func RunRepo(root string, only ...string) ([]Diagnostic, error) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		return nil, fmt.Errorf("ctmsvet: %s is not a module root (no go.mod)", root)
@@ -111,11 +109,8 @@ func RunRepo(root string, only ...string) ([]Diagnostic, error) {
 		}
 		var as []*Analyzer
 		switch {
-		case rel == ".":
-			as = selectSyntactic(only, Units, Exhaustive)
-			pkgs = append(pkgs, pkg)
 		case simCritical[dir]:
-			as = selectSyntactic(only, Determinism, Units, Exhaustive)
+			as = selectSyntactic(only, Determinism, Exhaustive)
 			pkgs = append(pkgs, pkg)
 		default:
 			// exhaustive runs everywhere: it only fires on switches over

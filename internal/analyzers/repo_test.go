@@ -26,9 +26,9 @@ func TestRepoComesClean(t *testing.T) {
 }
 
 // TestInjectedViolations is the acceptance check in reverse: drop a
-// wall-clock read into a sim-critical package and an unannotated
-// bytes->bits assignment into the root package of a scratch module, and
-// ctmsvet must fail with diagnostics at the right file and line.
+// wall-clock read into a sim-critical package of a scratch module, and
+// ctmsvet must fail with a diagnostic at the right file and line. (The
+// bytes->bits half lives in TestInjectedViolationsDim.)
 func TestInjectedViolations(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -48,38 +48,23 @@ import "time"
 
 func Stamp() int64 { return time.Now().UnixNano() }
 `)
-	write("rates.go", `package scratch
-
-func frame(packetBytes int64) int64 {
-	frameBits := packetBytes
-	return frameBits
-}
-`)
 
 	diags, err := RunRepo(root)
 	if err != nil {
 		t.Fatalf("RunRepo: %v", err)
 	}
-	var gotClock, gotUnits bool
+	var gotClock bool
 	for _, d := range diags {
-		switch {
-		case d.Analyzer == "determinism" &&
+		if d.Analyzer == "determinism" &&
 			strings.HasSuffix(d.File, filepath.Join("internal", "sim", "bad.go")) &&
-			d.Line == 5 && strings.Contains(d.Message, "time.Now"):
+			d.Line == 5 && strings.Contains(d.Message, "time.Now") {
 			gotClock = true
-		case d.Analyzer == "units" &&
-			strings.HasSuffix(d.File, "rates.go") &&
-			d.Line == 4 && strings.Contains(d.Message, "bytes-named"):
-			gotUnits = true
-		default:
+		} else {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
 	if !gotClock {
 		t.Errorf("injected time.Now in internal/sim not reported; got %d diagnostics", len(diags))
-	}
-	if !gotUnits {
-		t.Errorf("injected bytes->bits assignment not reported; got %d diagnostics", len(diags))
 	}
 }
 
@@ -143,12 +128,12 @@ func TestMarshalJSONDiagnostics(t *testing.T) {
 		t.Errorf("empty diagnostics marshal to %q, want []", out)
 	}
 	out, err = MarshalJSONDiagnostics([]Diagnostic{{
-		Analyzer: "units", File: "x.go", Line: 3, Col: 7, Message: "m",
+		Analyzer: "dim", File: "x.go", Line: 3, Col: 7, Message: "m",
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"analyzer": "units"`, `"file": "x.go"`, `"line": 3`, `"col": 7`, `"message": "m"`} {
+	for _, key := range []string{`"analyzer": "dim"`, `"file": "x.go"`, `"line": 3`, `"col": 7`, `"message": "m"`} {
 		if !strings.Contains(string(out), key) {
 			t.Errorf("marshalled diagnostics missing %s:\n%s", key, out)
 		}

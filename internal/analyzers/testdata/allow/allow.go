@@ -1,6 +1,6 @@
 // Package allow is a ctmsvet fixture for the //ctmsvet:allow directive:
 // both placement forms, the mandatory reason, and unknown-analyzer
-// validation. It runs under all three analyzers.
+// validation. It runs under both syntactic analyzers.
 package allow
 
 import "time"
@@ -33,9 +33,7 @@ func unknownAnalyzer() {
 }
 
 // An allow scoped to one analyzer leaves the others alone.
-func unitsAllowed(packetBytes int64) {
-	var frameBits int64
-	//ctmsvet:allow units fixture exercises suppressing only the units analyzer
-	frameBits = packetBytes
-	_ = frameBits
+func otherAnalyzerAllowed() {
+	_ = time.Now() //ctmsvet:allow exhaustive fixture exercises an allow scoped to another analyzer
+	// want `time.Now reads the wall clock`
 }

@@ -193,8 +193,8 @@ func (s *Scheduler) Now() Time { return s.now }
 // tests and for sanity checks on run size.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// SetTrace attaches a trace log that records each dispatched event.
-// A nil trace disables tracing.
+// SetTrace attaches the run's trace log, which model components record
+// their structured events into. A nil trace disables tracing.
 func (s *Scheduler) SetTrace(t *Trace) { s.trace = t }
 
 // Trace reports the attached trace log, or nil. Model components reach
@@ -433,9 +433,6 @@ func (s *Scheduler) step(bound Time) bool {
 	}
 	s.now = e.at
 	s.fired++
-	if s.trace != nil {
-		s.trace.Add(s.now, e.name)
-	}
 	fn := e.fn
 	s.recycle(e)
 	fn()

@@ -7,45 +7,50 @@ import (
 
 func TestTraceBasics(t *testing.T) {
 	tr := NewTrace(0)
-	tr.Add(Microsecond, "a")
-	tr.Addf(2*Microsecond, "b %d", 7)
-	if tr.Len() != 2 {
-		t.Fatalf("want 2 entries, got %d", tr.Len())
+	tr.AddEvent(Microsecond, testKindTick, 1, 2)
+	tr.AddEvent(2*Microsecond, testKindTick, 7, 9)
+	if tr.EventLen() != 2 {
+		t.Fatalf("want 2 entries, got %d", tr.EventLen())
 	}
-	if tr.Entries()[1].What != "b 7" {
-		t.Fatalf("Addf formatting wrong: %q", tr.Entries()[1].What)
+	if e := tr.Events()[1]; e.T != 2*Microsecond || e.A != 7 || e.B != 9 {
+		t.Fatalf("second entry wrong: %+v", e)
 	}
-	if !strings.Contains(tr.String(), "b 7") {
-		t.Fatal("String should include entries")
+	if !strings.Contains(tr.String(), "test.tick a=7 b=9") {
+		t.Fatalf("String should include entries:\n%s", tr.String())
 	}
 }
 
 func TestTraceEviction(t *testing.T) {
 	tr := NewTrace(10)
 	for i := 0; i < 25; i++ {
-		tr.Addf(Time(i), "e%d", i)
+		tr.AddEvent(Time(i), testKindTick, int64(i), 0)
 	}
-	if tr.Len() > 10 {
-		t.Fatalf("trace exceeded bound: %d", tr.Len())
+	if tr.EventLen() != 10 {
+		t.Fatalf("trace should hold its bound of 10, got %d", tr.EventLen())
 	}
-	if tr.Dropped() == 0 {
-		t.Fatal("eviction should be reported")
+	if tr.EventsDropped() != 15 {
+		t.Fatalf("want 15 evictions reported, got %d", tr.EventsDropped())
 	}
-	// The newest entry must always survive.
-	last := tr.Entries()[tr.Len()-1]
-	if last.What != "e24" {
-		t.Fatalf("newest entry lost: %q", last.What)
+	// The newest entry must always survive, and the wrapped ring still
+	// renders oldest-first.
+	ev := tr.Events()
+	if last := ev[len(ev)-1]; last.A != 24 {
+		t.Fatalf("newest entry lost: %+v", last)
+	}
+	lines := strings.Split(strings.TrimSpace(tr.String()), "\n")
+	if len(lines) != 10 || !strings.HasSuffix(lines[0], "a=15 b=0") || !strings.HasSuffix(lines[9], "a=24 b=0") {
+		t.Fatalf("rendered ring out of order:\n%s", tr.String())
 	}
 }
 
 func TestTraceMatching(t *testing.T) {
 	tr := NewTrace(0)
-	tr.Add(1, "vca irq")
-	tr.Add(2, "ring transmit")
-	tr.Add(3, "vca handler")
-	got := tr.Matching("vca")
-	if len(got) != 2 {
-		t.Fatalf("want 2 vca entries, got %d", len(got))
+	tr.AddEvent(1, testKindTick, 1, 0)
+	tr.AddEvent(2, testKindTock, 2, 0)
+	tr.AddEvent(3, testKindTick, 3, 0)
+	got := tr.EventsOfKind(testKindTick)
+	if len(got) != 2 || got[0].A != 1 || got[1].A != 3 {
+		t.Fatalf("want the 2 tick entries in order, got %+v", got)
 	}
 }
 
@@ -53,20 +58,25 @@ func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	// All recording and reading methods must be no-ops on nil so call
 	// sites can instrument unconditionally.
-	tr.Add(1, "x")
-	tr.Addf(2, "y %d", 1)
 	tr.AddEvent(3, 1, 4, 5)
-	if tr.Len() != 0 || tr.EventLen() != 0 || tr.Dropped() != 0 || tr.EventsDropped() != 0 {
+	if tr.EventLen() != 0 || tr.EventsDropped() != 0 {
 		t.Fatal("nil trace should report empty")
 	}
-	if tr.Entries() != nil || tr.Events() != nil || tr.Matching("x") != nil || tr.String() != "" {
+	if tr.Events() != nil || tr.EventsOfKind(1) != nil || tr.String() != "" {
 		t.Fatal("nil trace reads should be empty")
 	}
 }
 
-const testKindTick EventKind = 255 // reserved for tests; real kinds grow from 1
+// Kinds reserved for tests; real kinds grow from 1.
+const (
+	testKindTick EventKind = 255
+	testKindTock EventKind = 254
+)
 
-func init() { RegisterEventKind(testKindTick, "test.tick") }
+func init() {
+	RegisterEventKind(testKindTick, "test.tick")
+	RegisterEventKind(testKindTock, "test.tock")
+}
 
 func TestTraceStructuredRing(t *testing.T) {
 	tr := NewTrace(4)
@@ -97,17 +107,8 @@ func TestTraceStructuredRing(t *testing.T) {
 func TestTraceLazyFormatting(t *testing.T) {
 	tr := NewTrace(8)
 	tr.AddEvent(Millisecond, testKindTick, 7, 9)
-	tr.Add(2*Millisecond, "string entry")
-	s := tr.String()
-	if !strings.Contains(s, "test.tick a=7 b=9") {
-		t.Fatalf("structured entry should render its registered kind name:\n%s", s)
-	}
-	if !strings.Contains(s, "string entry") {
-		t.Fatalf("string entry missing:\n%s", s)
-	}
-	// Merged output is time-ordered: the structured entry (1 ms) first.
-	if strings.Index(s, "test.tick") > strings.Index(s, "string entry") {
-		t.Fatalf("streams should merge in time order:\n%s", s)
+	if s := tr.String(); !strings.Contains(s, "test.tick a=7 b=9") {
+		t.Fatalf("entry should render its registered kind name:\n%s", s)
 	}
 	if got := EventKind(200).String(); got != "kind(200)" {
 		t.Fatalf("unregistered kind placeholder wrong: %q", got)
@@ -138,15 +139,11 @@ func TestSchedulerTraceGetter(t *testing.T) {
 	if s.Trace() != tr {
 		t.Fatal("Trace should return the attached trace")
 	}
-}
-
-func TestSchedulerTraceIntegration(t *testing.T) {
-	s := NewScheduler()
-	tr := NewTrace(0)
-	s.SetTrace(tr)
+	// Dispatch itself records nothing: entries come only from model
+	// components' AddEvent calls.
 	s.After(Millisecond, "hello", func() {})
 	s.Run()
-	if len(tr.Matching("hello")) != 1 {
-		t.Fatal("dispatched events should be traced")
+	if tr.EventLen() != 0 {
+		t.Fatalf("dispatch wrote %d trace entries, want 0", tr.EventLen())
 	}
 }

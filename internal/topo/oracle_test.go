@@ -93,8 +93,11 @@ func applyChaos(n *Network, seed int64) {
 			} else {
 				victim.Cancel()
 			}
+			// Drawn here, not in the callback: shards run the callbacks
+			// concurrently, and r is shared.
+			delay := sim.Time(1+r.Intn(3)) * sim.Microsecond
 			sched.At(at, "chaos.respawn", func() {
-				sched.After(sim.Time(1+r.Intn(3))*sim.Microsecond, "chaos.child", func() {})
+				sched.After(delay, "chaos.child", func() {})
 			})
 		}
 	}
