@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race race-shards bench bench-check bench-baseline api-check api-golden clean
+.PHONY: ci vet lint lint-fast build test race race-shards perfbench-test bench bench-check bench-baseline api-check api-golden clean
 
-ci: vet lint build race race-shards bench bench-check api-check
+ci: vet lint build race race-shards perfbench-test bench bench-check api-check
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,12 @@ race:
 race-shards:
 	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts' \
 		./internal/core ./internal/topo
+
+# The repo benchmark (_perfbench) is a module of its own, outside ./...,
+# yet it compiles against the topo, session and core types. Vet and test
+# it here so a reshaped internal type cannot break it unnoticed.
+perfbench-test:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # A one-iteration benchmark smoke: catches benchmarks that no longer
 # compile or panic, without paying for stable numbers.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ctmsp"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -26,7 +27,7 @@ type Results struct {
 	Sent      uint64
 	Delivered uint64
 	RxStats   ctmsp.RxStats
-	Playout   PlayoutStats
+	Playout   playout.Stats
 
 	// Substrate accounting.
 	Ring ring.Counters

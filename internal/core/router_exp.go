@@ -2,10 +2,10 @@ package core
 
 import (
 	"repro/internal/ctmsp"
-	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/router"
 	"repro/internal/rtpc"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tradapter"
@@ -35,18 +35,14 @@ func runE14(s Scale) *Comparison {
 	r1 := ring.New(sched, rc1)
 	rt := router.New(sched, "router", r0, r1, seed)
 
-	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)
-		k := kernel.New(m)
-		st := rg.Attach(name)
+	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) session.Host {
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		drv := tradapter.New(k, st, cfg, tradapter.DefaultTiming())
-		k.Register(drv)
-		return k, drv
+		return session.NewHost(rg, name, seed, cfg)
 	}
-	srcK, srcDrv := mk("src", r0, rtpc.IOChannelMemory)
-	_, dstDrv := mk("dst", r1, rtpc.SystemMemory)
+	src := mk("src", r0, rtpc.IOChannelMemory)
+	srcK, srcDrv := src.Kernel, src.Driver
+	dstDrv := mk("dst", r1, rtpc.SystemMemory).Driver
 	rt.AddRoute(0, dstDrv.Station().Addr(), 1)
 
 	// The 166 KB/s CTMS stream: one 2000-byte packet per 12 ms.

@@ -5,18 +5,15 @@ import (
 	"repro/internal/inet"
 	"repro/internal/kernel"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
 	"repro/internal/vca"
 	"repro/internal/workload"
 )
-
-// populationStations is how many other machines sit on the campus ring
-// (the paper's ring had ~70); they contribute repeat latency even when
-// silent.
-const populationStations = 64
 
 // tapCaptureLimit bounds the TAP monitor's capture buffer for long runs.
 const tapCaptureLimit = 1 << 18
@@ -102,26 +99,20 @@ func buildEnv(cfg Config) *env {
 	trCfg.PurgeInterrupt = cfg.PurgeInterrupt
 	trCfg.UnprotectedQueueBug = cfg.DriverRaceBug
 
-	mkHost := func(name string, trCfg tradapter.Config) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(e.sched, name, rtpc.DefaultCostModel(), cfg.Seed)
-		k := kernel.New(m)
-		st := e.ring.Attach(name)
-		drv := tradapter.New(k, st, trCfg, tradapter.DefaultTiming())
-		k.Register(drv)
-		return k, drv
-	}
-	e.txK, e.txDrv = mkHost("tx", trCfg)
+	tx := session.NewHost(e.ring, "tx", cfg.Seed, trCfg)
+	e.txK, e.txDrv = tx.Kernel, tx.Driver
 	startKernelActivity(e.txK, e.rng.Fork("kern-tx"))
 	// The receiver keeps its fixed DMA buffers in system memory (the
 	// paper only moved the transmitter's; the toggle list is about the
 	// transmitter).
 	rxTrCfg := trCfg
 	rxTrCfg.DMABufferKind = rtpc.SystemMemory
-	e.rxK, e.rxDrv = mkHost("rx", rxTrCfg)
+	rx := session.NewHost(e.ring, "rx", cfg.Seed, rxTrCfg)
+	e.rxK, e.rxDrv = rx.Kernel, rx.Driver
 	startKernelActivity(e.rxK, e.rng.Fork("kern-rx"))
 
 	// Populate the campus ring.
-	for i := 0; i < populationStations; i++ {
+	for i := 0; i < session.PopulationStations; i++ {
 		e.ring.Attach("pop")
 	}
 
@@ -273,12 +264,9 @@ func (e *env) addBackground() {
 		// rig's own control-socket connection (§5.3 calls the socket
 		// traffic "an artifact of the test set up" and blames it for
 		// part of Figure 5-2's second peak).
-		control := e.ring.Attach("control")
-		ctlM := rtpc.NewMachine(e.sched, "control", rtpc.DefaultCostModel(), cfg.Seed)
-		ctlK := kernel.New(ctlM)
-		ctlDrv := tradapter.New(ctlK, control, tradapter.StockConfig(), tradapter.DefaultTiming())
-		ctlK.Register(ctlDrv)
-		inet.NewStack(ctlK, ctlDrv, inet.DefaultCosts())
+		ctl := session.NewHost(e.ring, "control", cfg.Seed, tradapter.StockConfig())
+		inet.NewStack(ctl.Kernel, ctl.Driver, inet.DefaultCosts())
+		control := ctl.Driver.Station()
 
 		txStack := e.stack(e.txK, e.txDrv)
 		rxStack := e.stack(e.rxK, e.rxDrv)
@@ -386,7 +374,7 @@ func runCTMSP(cfg Config) (*Results, error) {
 	rxDrv := vca.NewRxDriver(e.rxK, e.rxDrv, recv, rxCfg)
 
 	streamBytesPerSec := float64(cfg.PacketBytes-ctmsp.HeaderSize) / cfg.Interval.Seconds()
-	playout := NewPlayout(streamBytesPerSec, cfg.PlayoutPrebuffer)
+	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
 
 	// Probe wiring.
 	dev.OnIRQ = func(tick uint64, _ sim.Time) { e.record(measure.P1VCAIRQ, uint32(tick)) }
@@ -395,7 +383,7 @@ func runCTMSP(cfg Config) (*Results, error) {
 	rxDrv.OnClassified = func(h ctmsp.Header, _ sim.Time) { e.record(measure.P4RxClassified, h.PacketNum) }
 	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
 		if ev == ctmsp.InOrder || ev == ctmsp.Gap {
-			playout.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
+			play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
 		}
 	}
 
@@ -418,7 +406,7 @@ func runCTMSP(cfg Config) (*Results, error) {
 		Sent:       txDrv.Stats().PacketsSent,
 		Delivered:  recv.Stats().InOrder + recv.Stats().Gaps,
 		RxStats:    recv.Stats(),
-		Playout:    playout.Finish(cfg.Duration),
+		Playout:    play.Finish(cfg.Duration),
 		Ring:       e.ring.Counters(),
 		TAP:        e.tap.Stats(),
 		TapMonitor: e.tap,

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/kernel"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/vca"
@@ -79,7 +80,7 @@ func runStock(cfg Config) (*Results, error) {
 	rconn := rxStack.RDTOpen(txStack.Addr())
 
 	streamBytesPerSec := float64(cfg.PacketBytes) / cfg.Interval.Seconds()
-	playout := NewPlayout(streamBytesPerSec, cfg.PlayoutPrebuffer)
+	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
 
 	queueCap := vca.DeviceBufferBytes / cfg.PacketBytes
 	if queueCap < 1 {
@@ -132,7 +133,7 @@ func runStock(cfg Config) (*Results, error) {
 			p.Syscall("write-vca", devCost, func() {
 				delivered++
 				e.record(measure.P4RxClassified, item.num)
-				playout.Deliver(item.bytes, e.sched.Now())
+				play.Deliver(item.bytes, e.sched.Now())
 				done()
 			})
 		})
@@ -169,7 +170,7 @@ func runStock(cfg Config) (*Results, error) {
 		Truth:      measure.BuildHistograms(e.truth, cfg.HistogramBinWidth),
 		Sent:       sent,
 		Delivered:  delivered,
-		Playout:    playout.Finish(cfg.Duration),
+		Playout:    play.Finish(cfg.Duration),
 		Ring:       e.ring.Counters(),
 		TAP:        e.tap.Stats(),
 		TapMonitor: e.tap,

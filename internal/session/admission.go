@@ -11,6 +11,13 @@
 // Alaya et al.'s QoS-manager frame the same problem as multi-flow
 // admission plus quality-centric degradation, which is the policy pair
 // implemented here: admit against a budget, degrade by class.
+//
+// The package also owns station assembly for every runner: NewSegment
+// builds a ring with its campus population, background load and
+// admission controller; NewHost puts one RT/PC machine on a ring; and
+// NewStream wires a CTMSP stream between two hosts. The session layer
+// runs one segment, internal/topo one per shard, and internal/core takes
+// its hosts from NewHost.
 package session
 
 import (

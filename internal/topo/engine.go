@@ -229,7 +229,7 @@ func (s *shard) drainInboxes(bound sim.Time, round uint64) {
 			a := s.getArrival()
 			a.egress = m.egress
 			a.frame = m.frame
-			s.sched.At(m.deliverAt, "topo.link-arrive", a.fn)
+			s.Sched.At(m.deliverAt, "topo.link-arrive", a.fn)
 		}
 	}
 	s.scratch = due[:0]
@@ -328,7 +328,7 @@ func (n *Network) Run(workers int) *Results {
 	// racing tiny per-window flushes thousands of times a simulated
 	// second.
 	for _, s := range n.shards {
-		s.sched.DeferMetricsFlush(true)
+		s.Sched.DeferMetricsFlush(true)
 	}
 
 	eng := &engineRun{stall: make([]int64, workers)}
@@ -361,10 +361,8 @@ func (n *Network) Run(workers int) *Results {
 	}
 
 	for _, s := range n.shards {
-		s.sched.FlushMetrics()
-		for _, g := range s.gens {
-			g.Stop()
-		}
+		s.Sched.FlushMetrics()
+		s.StopBackground()
 	}
 	return n.collect(workers)
 }
@@ -459,8 +457,8 @@ func (n *Network) runWorker(w, workers int, bar *barrier, eng *engineRun) {
 		for i := w; i < len(n.shards); i += workers {
 			s := n.shards[i]
 			s.drainInboxes(nb[i], round)
-			s.sched.RunUntil(nb[i])
-			at, ok := s.sched.NextAt()
+			s.Sched.RunUntil(nb[i])
+			at, ok := s.Sched.NextAt()
 			eng.status[1-parity][i] = shardStatus{at: at, ok: ok}
 		}
 		if bar != nil {

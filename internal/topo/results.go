@@ -18,15 +18,7 @@ type StreamResult struct {
 	// not; rejection names the refusing hop in Decision.Reason).
 	Path []int
 
-	Sent       uint64
-	Delivered  uint64
-	Lost       uint64
-	Gaps       uint64
-	Duplicates uint64
-
-	Glitches       uint64
-	StarvedTime    sim.Time
-	MaxBufferBytes int
+	session.StreamCounts
 
 	// Delivery delay versus the nominal capture schedule, measured at the
 	// receiver: end-to-end ring access, bridge hops and link latency.
@@ -121,17 +113,7 @@ func (n *Network) collect(workers int) *Results {
 	for i, st := range n.streams {
 		r := StreamResult{Spec: st.spec, Decision: st.dec, Path: st.path}
 		if st.dec.Admitted {
-			tx := st.txDrv.Stats()
-			rx := st.recv.Stats()
-			r.Sent = tx.PacketsSent
-			r.Delivered = rx.InOrder + rx.Gaps
-			r.Lost = rx.Lost
-			r.Gaps = rx.Gaps
-			r.Duplicates = rx.Duplicates
-			p := st.play.Finish(n.spec.Duration)
-			r.Glitches = p.Glitches
-			r.StarvedTime = p.StarvedTime
-			r.MaxBufferBytes = p.MaxBufferBytes
+			r.StreamCounts = st.Counts(n.spec.Duration)
 			r.LatencyMax = st.latMax
 			r.LatencySum = st.latSum
 			r.LatencyN = st.latN
@@ -142,11 +124,11 @@ func (n *Network) collect(workers int) *Results {
 	res.Rings = make([]RingResult, len(n.shards))
 	for i, s := range n.shards {
 		res.Rings[i] = RingResult{
-			Counters:     s.ring.Counters(),
-			Utilization:  s.ring.Utilization(),
-			ReservedBits: s.ring.ReservedBits(),
+			Counters:     s.Ring.Counters(),
+			Utilization:  s.Ring.Utilization(),
+			ReservedBits: s.Ring.ReservedBits(),
 		}
-		res.Events += s.sched.Fired()
+		res.Events += s.Sched.Fired()
 	}
 	for _, st := range n.streams {
 		if st.dec.Admitted {
@@ -154,11 +136,7 @@ func (n *Network) collect(workers int) *Results {
 				res.Rings[r].Admitted++
 			}
 		} else {
-			// Charge the refusal to the hop that refused: the last ring
-			// the admission walk reached.
-			var refused int
-			fmt.Sscanf(st.dec.Reason, "ring %d:", &refused)
-			res.Rings[refused].Rejected++
+			res.Rings[st.refusedBy].Rejected++
 		}
 	}
 

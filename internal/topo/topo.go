@@ -3,6 +3,10 @@
 // (internal/router halves), carrying cross-ring CTMSP sessions whose
 // admission reserves bandwidth on every hop of the path — the CDTP-style
 // chain transfer the ROADMAP's "millions of users" question needs.
+// Every ring, host and CTMSP stream is assembled by the session layer's
+// builders (session.NewSegment, NewHost, NewStream), so each hop of a
+// path runs the single-ring stream unchanged; topo adds the bridges, the
+// routed addressing and the per-hop admission walk.
 //
 // The package is also the repo's parallel simulation engine. Each ring —
 // with its stations, background load, bridge halves and stream machinery
@@ -36,15 +40,6 @@ const (
 	// shards ahead by is the minimum link latency, and the switch cost
 	// alone would mean a barrier every 180 µs of simulated time.
 	DefaultLinkLatency = 2 * sim.Millisecond
-	// defaultPopulation matches internal/core's campus-ring population so
-	// per-station repeat latency is comparable across runners.
-	defaultPopulation = 64
-	// defaultInsertionPurges is the paper's "on the order of 10"
-	// back-to-back purges per station insertion.
-	defaultInsertionPurges = 10
-	// maxOutstanding bounds packets a stream may queue in its Token Ring
-	// driver, as in the session layer.
-	maxOutstanding = 8
 )
 
 // LinkSpec is one internetwork edge: a split bridge joining rings A and B.
@@ -70,10 +65,6 @@ type StreamSpec struct {
 	SrcRing int
 	DstRing int
 }
-
-// SessionSpec returns the embedded session-layer stream shape — the
-// conversion shim for callers that held the old duplicated struct.
-func (s StreamSpec) SessionSpec() session.StreamSpec { return s.StreamSpec }
 
 // BurstSpec injects Count back-to-back frames from a dedicated host on
 // SrcRing to a sink on DstRing — cross-ring pressure for overflow tests:
@@ -113,8 +104,6 @@ type Spec struct {
 	UtilizationCap float64
 	// BackgroundUtil is each ring's offered background load fraction.
 	BackgroundUtil float64
-	// PopulationStations pads each ring's station count (0 = 64).
-	PopulationStations int
 	// PlayoutPrebuffer delays each stream's playback
 	// (0 = session.DefaultPrebuffer; multi-hop paths want more).
 	PlayoutPrebuffer sim.Time
@@ -144,9 +133,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.UtilizationCap == 0 {
 		s.UtilizationCap = session.DefaultUtilizationCap
-	}
-	if s.PopulationStations == 0 {
-		s.PopulationStations = defaultPopulation
 	}
 	if s.PlayoutPrebuffer == 0 {
 		s.PlayoutPrebuffer = session.DefaultPrebuffer
@@ -254,7 +240,7 @@ func (s Spec) validateCompiled() (*routeTable, error) {
 // the census depends only on (Seed, Population, Rings, Duration).
 func expandPopulation(s Spec, rt *routeTable) []StreamSpec {
 	pop := s.Population.WithDefaults()
-	rng := sim.NewRNG(mixSeed(s.Seed, saltPopulation))
+	rng := sim.NewRNG(session.MixSeed(s.Seed, saltPopulation))
 	census := sim.Time(s.Duration / 2)
 	var out []StreamSpec
 	for _, a := range pop.Compile(rng, s.Duration) {
@@ -283,20 +269,7 @@ func expandPopulation(s Spec, rt *routeTable) []StreamSpec {
 	return out
 }
 
-// mixSeed derives an independent seed per component so nearby indices get
-// unrelated RNG streams (splitmix64-style finalizer, as core.SweepSeed
-// does for sweep points and session does for stream hosts).
-func mixSeed(base int64, salt uint64) int64 {
-	h := uint64(base) + salt*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int64(h)
-}
-
-// Salt spaces for mixSeed, keeping component seeds disjoint.
+// Salt spaces for session.MixSeed, keeping component seeds disjoint.
 const (
 	saltRing   = 0x0100_0000
 	saltHalf   = 0x0200_0000

@@ -138,8 +138,11 @@ func TestAdmissionNamesRefusingHop(t *testing.T) {
 	if res.Rings[0].ReservedBits != 0 {
 		t.Fatalf("ring 0 still holds %d reserved bits after rollback", res.Rings[0].ReservedBits)
 	}
-	if res.Rings[1].Rejected != 1 {
-		t.Fatalf("refusal charged to rings %+v; want ring 1", res.Rings)
+	// The refusal is charged to the refusing hop alone.
+	for i, want := range []int{0, 1, 0} {
+		if res.Rings[i].Rejected != want {
+			t.Fatalf("ring %d charged %d rejections; want %d", i, res.Rings[i].Rejected, want)
+		}
 	}
 }
 
