@@ -130,41 +130,46 @@ func (c *Conn) NextHeader(dataLen int) Header {
 	return h
 }
 
-// BuildPacket allocates an mbuf chain for a packet of total length
-// HeaderSize+dataLen, stamps the precomputed ring header and a CTMSP
-// header into it, and returns the driver-ready Outgoing. Returns nil if
-// the mbuf pool is exhausted (interrupt-time contract).
+// BuildPacket fills out, a caller-owned envelope, with a packet of total
+// length HeaderSize+dataLen: it allocates the mbufs into the envelope's
+// chain shell, stamps the CTMSP header (the precomputed ring header is
+// connection state) and sets every field the driver reads except the
+// PreTransmit and Done hooks, which belong to the caller. Fields a patch
+// may have set on a reused envelope (NoCopy, the routed destination) are
+// reset. It reports false, leaving out's chain empty, if the mbuf pool is
+// exhausted (interrupt-time contract).
 //
 // copyHeaderOnly selects §5.3's "copy only header into fixed DMA buffer"
-// variant; preTransmit and done are the measurement hooks.
+// variant.
+//
+// The header is boxed into the chain tag and encoded into the capture on
+// every packet: both are immutable once sent (a TAP monitor keeps the
+// capture, forwarded frames share the tag), so they are the two
+// allocations a packet keeps.
 //
 //ctmsvet:hotpath
-func (c *Conn) BuildPacket(dataLen int, copyHeaderOnly bool, preTransmit func(), done func(ring.DeliveryStatus)) *tradapter.Outgoing {
+func (c *Conn) BuildPacket(out *tradapter.Outgoing, dataLen int, copyHeaderOnly bool) bool {
 	total := HeaderSize + dataLen
-	ch := c.k.Pool.AllocNoWait(total)
-	if ch == nil {
+	if !c.k.Pool.AllocInto(out.Chain, total) {
 		c.stats.MbufFailures++
-		return nil
+		return false
 	}
 	h := c.NextHeader(dataLen)
-	ch.Tag = h
+	out.Chain.Tag = h
 	c.stats.PacketsBuilt++
 
 	copyBytes := total
 	if copyHeaderOnly {
 		copyBytes = HeaderSize + len(c.ringHeader)
 	}
-	//ctmsvet:allow hotpath one Outgoing descriptor per packet is the driver hand-off contract; the mbuf chain itself is pooled
-	return &tradapter.Outgoing{
-		Chain:       ch,
-		Size:        total,
-		Class:       tradapter.ClassCTMSP,
-		Dst:         c.dst,
-		CopyBytes:   copyBytes,
-		Capture:     h.Encode(),
-		PreTransmit: preTransmit,
-		Done:        done,
-	}
+	out.Size = total
+	out.Class = tradapter.ClassCTMSP
+	out.Dst = c.dst
+	out.RoutedDst, out.RoutedRing = 0, 0
+	out.CopyBytes = copyBytes
+	out.NoCopy = false
+	out.Capture = h.Encode()
+	return true
 }
 
 // Packet is a CTMSP packet carrying an application payload — used by
@@ -175,11 +180,12 @@ type Packet struct {
 	Payload any
 }
 
-// BuildDataPacket is BuildPacket for payload-carrying packets: the chain
-// is tagged with a Packet wrapping the payload.
+// BuildDataPacket is BuildPacket for payload-carrying packets, in a fresh
+// envelope: the chain is tagged with a Packet wrapping the payload.
+// Returns nil if the mbuf pool is exhausted.
 func (c *Conn) BuildDataPacket(payload any, dataLen int, preTransmit func(), done func(ring.DeliveryStatus)) *tradapter.Outgoing {
-	out := c.BuildPacket(dataLen, false, preTransmit, done)
-	if out == nil {
+	out := &tradapter.Outgoing{Chain: &kernel.Chain{}, PreTransmit: preTransmit, Done: done}
+	if !c.BuildPacket(out, dataLen, false) {
 		return nil
 	}
 	h := out.Chain.Tag.(Header)

@@ -82,6 +82,12 @@ func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 	return sched, k, conn
 }
 
+// newEnvelope is a caller-owned envelope with an empty chain shell, the
+// shape BuildPacket fills.
+func newEnvelope() *tradapter.Outgoing {
+	return &tradapter.Outgoing{Chain: &kernel.Chain{}}
+}
+
 func TestDialPrecomputesHeaderOnce(t *testing.T) {
 	_, _, conn := newConn(t)
 	if len(conn.RingHeader()) != 22 {
@@ -92,8 +98,8 @@ func TestDialPrecomputesHeaderOnce(t *testing.T) {
 func TestBuildPacketNumbersSequentially(t *testing.T) {
 	_, k, conn := newConn(t)
 	for i := 0; i < 5; i++ {
-		p := conn.BuildPacket(1988, false, nil, nil)
-		if p == nil {
+		p := newEnvelope()
+		if !conn.BuildPacket(p, 1988, false) {
 			t.Fatal("alloc failed")
 		}
 		h := p.Chain.Tag.(Header)
@@ -118,8 +124,10 @@ func TestBuildPacketNumbersSequentially(t *testing.T) {
 
 func TestBuildPacketCopyHeaderOnly(t *testing.T) {
 	_, k, conn := newConn(t)
-	full := conn.BuildPacket(1988, false, nil, nil)
-	hdr := conn.BuildPacket(1988, true, nil, nil)
+	full, hdr := newEnvelope(), newEnvelope()
+	if !conn.BuildPacket(full, 1988, false) || !conn.BuildPacket(hdr, 1988, true) {
+		t.Fatal("alloc failed")
+	}
 	if full.CopyBytes != 2000 {
 		t.Fatalf("full copy bytes %d", full.CopyBytes)
 	}
@@ -143,7 +151,7 @@ func TestBuildPacketMbufExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := conn.BuildPacket(1988, false, nil, nil); p != nil {
+	if conn.BuildPacket(newEnvelope(), 1988, false) {
 		t.Fatal("tiny pool should fail the allocation")
 	}
 	if conn.Stats().MbufFailures != 1 {
@@ -269,14 +277,14 @@ func TestPoolBalancedAfterExhaustion(t *testing.T) {
 	}
 
 	// A small packet fits even the tiny pool; build it and free it.
-	p := conn.BuildPacket(64, false, nil, nil)
-	if p == nil {
+	p := newEnvelope()
+	if !conn.BuildPacket(p, 64, false) {
 		t.Fatal("small packet should fit the tiny pool")
 	}
 	k.Pool.Free(p.Chain)
 
 	// A full-size packet exhausts it: counted, and nothing stranded.
-	if q := conn.BuildPacket(1988, false, nil, nil); q != nil {
+	if conn.BuildPacket(newEnvelope(), 1988, false) {
 		t.Fatal("tiny pool should fail the full-size allocation")
 	}
 	ps := k.Pool.Stats()

@@ -220,7 +220,7 @@ func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	// The stock path copies the packet out of the fixed DMA buffer into
 	// mbufs before protocol processing (§2's third copy); the copy loop
 	// is interruptible.
-	segs := s.k.Machine.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs := s.k.Machine.AppendCopySegs(nil, "dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	return append(segs,
 		rtpc.Mark("release-buf", rcv.Release),
 		rtpc.Then("ip-input", s.costs.IPInput, func() {

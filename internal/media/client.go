@@ -150,7 +150,7 @@ func (c *Client) handle(rcv *tradapter.Received) []rtpc.Seg {
 	}
 
 	m := c.k.Machine
-	segs := m.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs := m.AppendCopySegs(nil, "dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	segs = append(segs, rtpc.Mark("release", rcv.Release))
 	segs = append(segs, rtpc.Mark("deliver", func() {
 		ev := c.recv.Accept(pkt.Header, c.k.Sched().Now())

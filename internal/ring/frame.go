@@ -106,10 +106,21 @@ func EncodeFC(kind FrameKind) byte {
 
 // NewDataFrame builds an LLC frame with sensible control bytes.
 func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any) *Frame {
+	f := &Frame{}
+	f.InitData(src, dst, priority, size, capture, payload)
+	return f
+}
+
+// InitData overwrites f with a fresh LLC frame, exactly as NewDataFrame
+// builds one. Drivers that embed a Frame in a pooled packet envelope use
+// it so transmitting a data frame allocates nothing.
+//
+//ctmsvet:hotpath
+func (f *Frame) InitData(src, dst Addr, priority, size int, capture []byte, payload any) {
 	if len(capture) > 96 {
 		capture = capture[:96]
 	}
-	return &Frame{
+	*f = Frame{
 		AC:       EncodeAC(priority, false),
 		FC:       EncodeFC(LLC),
 		Src:      src,

@@ -42,11 +42,18 @@ func DefaultConfig() Config {
 // monitor does. start/end bracket the frame's time on the wire.
 type Tap func(f *Frame, start, end sim.Time, status DeliveryStatus)
 
+// txRequest is one queued or in-flight transmission. Requests are pooled
+// per ring; each carries a frame-end callback bound once, when the request
+// is first built, and the wire interval it was started with.
 type txRequest struct {
-	st     *Station
-	f      *Frame
-	onDone func(DeliveryStatus)
-	queued sim.Time
+	r          *Ring
+	st         *Station
+	f          *Frame
+	onDone     func(DeliveryStatus)
+	queued     sim.Time
+	start, end sim.Time
+	frameEnd   func()     // req.endOfFrame, bound once
+	nextFree   *txRequest // free-list link
 }
 
 // Counters aggregates ring-level accounting.
@@ -91,6 +98,9 @@ type Ring struct {
 	reserved   int64
 	seq        uint64
 	c          Counters
+
+	freeReqs     *txRequest // recycled requests (see endOfFrame for when)
+	maybeStartFn func()     // r.maybeStart, bound once
 }
 
 // New creates a ring driven by sched.
@@ -99,12 +109,38 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 	if cfg.PurgeDuration <= 0 {
 		cfg.PurgeDuration = DefaultConfig().PurgeDuration
 	}
-	return &Ring{
+	r := &Ring{
 		sched:  sched,
 		cfg:    cfg,
 		rng:    sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
 		byAddr: make(map[Addr]*Station),
 	}
+	r.maybeStartFn = r.maybeStart
+	return r
+}
+
+// allocReq pops a recycled transmit request, building one (with its
+// frame-end callback) on the cold path only.
+//
+//ctmsvet:hotpath
+func (r *Ring) allocReq() *txRequest {
+	if req := r.freeReqs; req != nil {
+		r.freeReqs, req.nextFree = req.nextFree, nil
+		return req
+	}
+	req := &txRequest{r: r}       //ctmsvet:allow hotpath cold refill path, runs only until the request pool reaches steady state
+	req.frameEnd = req.endOfFrame //ctmsvet:allow hotpath cold refill path, bound once per pooled request
+	return req
+}
+
+// putReq returns a finished request to the pool. A request may come back
+// only when no scheduled event can still name it: after its frame-end
+// event has fired, or when it never started.
+//
+//ctmsvet:hotpath
+func (r *Ring) putReq(req *txRequest) {
+	req.st, req.f, req.onDone = nil, nil, nil
+	req.nextFree, r.freeReqs = r.freeReqs, req
 }
 
 // Scheduler exposes the driving scheduler (stations and workloads need it).
@@ -178,11 +214,15 @@ func (r *Ring) Station(a Addr) *Station {
 func (r *Ring) Stations() int { return len(r.stations) }
 
 // submit queues a transmit request and starts service if the ring is free.
+//
+//ctmsvet:hotpath
 func (r *Ring) submit(req *txRequest) {
 	p := req.f.Priority
-	sim.Checkf(p >= 0 && p < 8, "frame priority %d out of range", p)
+	if p < 0 || p >= 8 {
+		sim.Checkf(false, "frame priority %d out of range", p)
+	}
 	req.queued = r.sched.Now()
-	r.queues[p] = append(r.queues[p], req)
+	r.queues[p] = append(r.queues[p], req) //ctmsvet:allow hotpath cold refill path: a priority queue grows only until it first reaches its backlog high-water mark, then reuses the array
 	r.maybeStart()
 }
 
@@ -225,12 +265,19 @@ func (r *Ring) maybeStart() {
 	r.start(req)
 }
 
+// start puts a request on the wire. The frame-end event carries the
+// request's own callback, bound once, so starting a frame allocates
+// nothing.
+//
+//ctmsvet:hotpath
 func (r *Ring) start(req *txRequest) {
 	now := r.sched.Now()
 	if !req.st.inserted {
-		// A de-inserted station cannot transmit; fail immediately.
+		// A de-inserted station cannot transmit; fail immediately. No
+		// event names the request, so it returns to the pool at once.
 		req.done(DeliveryStatus{CompletedAt: now})
-		r.sched.After(0, "ring.next", r.maybeStart)
+		r.putReq(req)
+		r.sched.After(0, "ring.next", r.maybeStartFn)
 		return
 	}
 	// Token acquisition: fixed overhead plus jitter for where the token
@@ -254,40 +301,49 @@ func (r *Ring) start(req *txRequest) {
 	req.f.Seq = r.seq
 	r.seq++
 
-	r.sched.At(end, "ring.frame-end", func() {
-		if r.current != req {
-			return // purged mid-flight; purge handler finished it
-		}
-		r.finish(req, start, end, false)
-	})
+	req.start, req.end = start, end
+	r.sched.At(end, "ring.frame-end", req.frameEnd)
+}
+
+// endOfFrame is the request's ring.frame-end event. A request purged
+// mid-flight was already finished by the purge; its frame-end still fires
+// and must not complete whatever request holds the ring now. This event
+// is the last reference to the request, so it returns to the pool here —
+// recycling at purge time would let a reused request pass the
+// r.current check (ABA) and complete early.
+//
+//ctmsvet:hotpath
+func (req *txRequest) endOfFrame() {
+	r := req.r
+	if r.current == req {
+		r.finish(req)
+	}
+	r.putReq(req)
 }
 
 // finish completes a transmission: delivers the frame, notifies taps and
 // the transmitter, and starts the next pending request.
-func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
+//
+//ctmsvet:hotpath
+func (r *Ring) finish(req *txRequest) {
 	r.busy = false
 	r.current = nil
 
 	status := DeliveryStatus{CompletedAt: r.sched.Now()}
-	if purged {
-		status.PurgeLost = true
-		r.c.PurgeLost++
+	r.deliver(req.f, &status)
+	r.sched.Trace().AddEvent(r.sched.Now(), EvTx, int64(req.f.Seq), int64(req.f.Size))
+	r.c.FramesSent++
+	r.c.BytesSent += uint64(req.f.Size)
+	r.c.ByPriority[req.f.Priority]++
+	if req.f.Kind == MAC {
+		r.c.MACFrames++
 	} else {
-		r.deliver(req.f, &status)
-		r.sched.Trace().AddEvent(r.sched.Now(), EvTx, int64(req.f.Seq), int64(req.f.Size))
-		r.c.FramesSent++
-		r.c.BytesSent += uint64(req.f.Size)
-		r.c.ByPriority[req.f.Priority]++
-		if req.f.Kind == MAC {
-			r.c.MACFrames++
-		} else {
-			r.c.DataFrames++
-		}
-		r.c.BusyTime += end - start
+		r.c.DataFrames++
 	}
+	r.c.BusyTime += req.end - req.start
 
 	for _, tap := range r.taps {
-		tap(req.f, start, end, status)
+		tap(req.f, req.start, req.end, status)
 	}
 	req.done(status)
 	r.maybeStart()

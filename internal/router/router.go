@@ -130,10 +130,14 @@ func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Receiv
 
 	m := rt.k.Machine
 	size := rcv.Size
+	// The envelope may be recycled once this handler returns (see
+	// tradapter.Outgoing.SetRecycle), so the payload tag and capture are
+	// read now, not in the egress mark.
+	tag, capture := out.Chain.Tag, out.Capture
 	segs := []rtpc.Seg{rtpc.Do("switch", rt.SwitchCost)}
 	// Copy from the ingress fixed DMA buffer to the egress driver's
 	// mbufs (one CPU copy — routers on this hardware cannot avoid it).
-	segs = append(segs, m.CopySegs("forward-copy", size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
+	segs = m.AppendCopySegs(segs, "forward-copy", size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	segs = append(segs, rtpc.Mark("release", rcv.Release))
 	segs = append(segs, rtpc.Mark("enqueue-egress", func() {
 		rt.stats.Forwarded[port]++
@@ -144,14 +148,14 @@ func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Receiv
 			rt.stats.Dropped++
 			return
 		}
-		ch.Tag = out.Chain.Tag // the protocol payload rides along
+		ch.Tag = tag // the protocol payload rides along
 		fwd := &tradapter.Outgoing{
 			Chain:     ch,
 			Size:      size,
 			Class:     class,
 			Dst:       dst,
 			RoutedDst: dst,
-			Capture:   out.Capture,
+			Capture:   capture,
 		}
 		pool := rt.k.Pool
 		fwd.Done = func(ring.DeliveryStatus) { pool.Free(ch) }

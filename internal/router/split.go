@@ -32,6 +32,7 @@ type Half struct {
 	nextHop []ring.Addr
 	stats   HalfStats
 	envs    envPool
+	jobs    *ingressJob // recycled ingress jobs
 	// recycleEnv is the pool-return hook armed on every injected envelope,
 	// built once so the per-frame SetRecycle call boxes no method value.
 	recycleEnv func(*tradapter.Outgoing)
@@ -55,6 +56,19 @@ type Half struct {
 //ctmsvet:shardowned
 type envPool struct {
 	free []*tradapter.Outgoing
+}
+
+// ingressJob carries one frame through a half's ingress: switch, copy,
+// release, hand-off. The program runs inside the driver's receive task,
+// so the job returns to the free list at its own final mark, hand-off.
+// The program is rewritten in place per frame; the Forwarded value is the
+// cursor.
+type ingressJob struct {
+	h         *Half
+	fwd       Forwarded
+	segs      []rtpc.Seg
+	handOffFn func() []rtpc.Seg
+	nextFree  *ingressJob
 }
 
 // Forwarded is a frame in flight between two halves of a split bridge:
@@ -130,6 +144,8 @@ func (h *Half) SetRoute(dstRing int, via ring.Addr) {
 // half are in transit to another ring. The switch decision and the one
 // unavoidable CPU copy happen here; the hand-off to the peer shard is the
 // final mark, carrying values only.
+//
+//ctmsvet:hotpath
 func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 	if !ok || out.RoutedRing == 0 || h.Forward == nil {
@@ -145,7 +161,8 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		rcv.Release()
 		return nil
 	}
-	fwd := Forwarded{
+	j := h.allocJob()
+	j.fwd = Forwarded{
 		DstRing: dstRing,
 		Dst:     out.RoutedDst,
 		Size:    rcv.Size,
@@ -154,15 +171,36 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		Capture: out.Capture,
 	}
 	m := h.k.Machine
-	segs := []rtpc.Seg{rtpc.Do("switch", h.SwitchCost)}
-	segs = append(segs, m.CopySegs("forward-copy", fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-	segs = append(segs, rtpc.Mark("release", rcv.Release))
-	segs = append(segs, rtpc.Mark("hand-off", func() {
-		h.stats.Forwarded++
-		h.stats.Bytes += uint64(fwd.Size)
-		h.Forward(fwd)
-	}))
+	segs := append(j.segs[:0], rtpc.Do("switch", h.SwitchCost)) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
+	segs = m.AppendCopySegs(segs, "forward-copy", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rcv.ReleaseSeg("release"), rtpc.Seg{Name: "hand-off", Fn: j.handOffFn}) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
+	j.segs = segs
 	return segs
+}
+
+//ctmsvet:hotpath
+func (h *Half) allocJob() *ingressJob {
+	if j := h.jobs; j != nil {
+		h.jobs, j.nextFree = j.nextFree, nil
+		return j
+	}
+	j := &ingressJob{h: h}  //ctmsvet:allow hotpath cold refill path, runs only until the job list reaches steady state
+	j.handOffFn = j.handOff //ctmsvet:allow hotpath cold refill path, bound once per pooled job
+	return j
+}
+
+// handOff is the ingress program's final mark: the frame leaves this
+// shard as a value, and the job returns to the free list.
+//
+//ctmsvet:hotpath
+func (j *ingressJob) handOff() []rtpc.Seg {
+	h := j.h
+	h.stats.Forwarded++
+	h.stats.Bytes += uint64(j.fwd.Size)
+	h.Forward(j.fwd)
+	j.fwd = Forwarded{}
+	j.nextFree, h.jobs = h.jobs, j
+	return nil
 }
 
 // getEnv pops a free envelope, building one — permanent chain shell,

@@ -51,12 +51,14 @@ func (m *Machine) CopySeg(name string, n int, src, dst MemoryKind) Seg {
 // latency of 440 µs.
 const copyChunkBytes = 400
 
-// CopySegs builds a chunked, interruptible copy of n bytes.
-func (m *Machine) CopySegs(name string, n int, src, dst MemoryKind) []Seg {
+// AppendCopySegs appends a chunked, interruptible copy of n bytes to segs
+// and returns the extended slice. Per-frame callers append into a segment
+// program they own and reuse, so a copy costs no allocation once that
+// program has grown to its steady-state length.
+func (m *Machine) AppendCopySegs(segs []Seg, name string, n int, src, dst MemoryKind) []Seg {
 	if n <= copyChunkBytes {
-		return []Seg{m.CopySeg(name, n, src, dst)}
+		return append(segs, m.CopySeg(name, n, src, dst))
 	}
-	var segs []Seg
 	for n > 0 {
 		c := copyChunkBytes
 		if n < c {

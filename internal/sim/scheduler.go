@@ -22,8 +22,11 @@ type Event struct {
 	name      string
 	cancelled bool
 	home      int32      // wheel bucket index, or homeOverflow / homeNone
-	index     int32      // position within the bucket slice or overflow heap
+	index     int32      // position within the overflow heap
 	s         *Scheduler // owner, for eager removal and recycling
+	// prev and next link the event into its wheel bucket's list; the
+	// bucket needs no storage of its own, so scheduling never allocates.
+	prev, next *Event
 }
 
 const (
@@ -127,11 +130,11 @@ const maxTime = Time(math.MaxInt64)
 type Scheduler struct {
 	now      Time
 	seq      uint64
-	cursor   int64      // wheel tick of the last dispatched event
-	wheel    [][]*Event // wheelSize buckets; tick t lives at wheel[t&wheelMask]
-	inWheel  int        // events currently in wheel buckets
-	overflow eventHeap  // events at or past cursor+wheelSize ticks
-	free     []*Event   // recycled Event objects, reused by At/After
+	cursor   int64     // wheel tick of the last dispatched event
+	wheel    []*Event  // wheelSize bucket list heads; tick t lives at wheel[t&wheelMask]
+	inWheel  int       // events currently in wheel buckets
+	overflow eventHeap // events at or past cursor+wheelSize ticks
+	free     []*Event  // recycled Event objects, reused by At/After
 	stopped  bool
 	fired    uint64
 	trace    *Trace
@@ -177,11 +180,12 @@ func (s *Scheduler) recycle(e *Event) {
 
 // NewScheduler returns a scheduler with the clock at zero. The event free
 // list is preallocated to its cap so recycle never grows it, and the
-// wheel's bucket table is allocated up front (bucket slices themselves
-// grow to steady-state occupancy on first use).
+// wheel's bucket table is allocated up front. Buckets are intrusive
+// doubly linked lists threaded through Event.prev/next, so filling a
+// bucket allocates nothing.
 func NewScheduler() *Scheduler {
 	return &Scheduler{
-		wheel: make([][]*Event, wheelSize),
+		wheel: make([]*Event, wheelSize),
 		free:  make([]*Event, 0, maxFreeEvents),
 	}
 }
@@ -217,22 +221,26 @@ func (s *Scheduler) enqueue(e *Event) {
 		heap.Push(&s.overflow, e)
 		return
 	}
-	s.bucketPut(e, int(tk&wheelMask))
+	s.link(e, int(tk&wheelMask))
 }
 
-// bucketPut appends an event to a wheel bucket.
+// link pushes an event onto the front of a wheel bucket's list. Order
+// inside a bucket is irrelevant: step min-scans the bucket by (at, seq).
 //
 //ctmsvet:hotpath
-func (s *Scheduler) bucketPut(e *Event, b int) {
-	bs := s.wheel[b]
+func (s *Scheduler) link(e *Event, b int) {
+	head := s.wheel[b]
 	e.home = int32(b)
-	e.index = int32(len(bs))
-	s.wheel[b] = append(bs, e) //ctmsvet:allow hotpath bucket slices grow to steady-state occupancy once, then reuse their backing arrays
+	e.prev, e.next = nil, head
+	if head != nil {
+		head.prev = e
+	}
+	s.wheel[b] = e
 	s.inWheel++
 }
 
-// remove takes a pending event out of whichever queue holds it: O(1)
-// swap-delete from its wheel bucket, or heap removal from the overflow.
+// remove takes a pending event out of whichever queue holds it: an O(1)
+// unlink from its wheel bucket's list, or heap removal from the overflow.
 //
 //ctmsvet:hotpath
 func (s *Scheduler) remove(e *Event) {
@@ -240,13 +248,15 @@ func (s *Scheduler) remove(e *Event) {
 		heap.Remove(&s.overflow, int(e.index))
 		return
 	}
-	bs := s.wheel[e.home]
-	last := len(bs) - 1
-	i := int(e.index)
-	bs[i] = bs[last]
-	bs[i].index = int32(i)
-	bs[last] = nil
-	s.wheel[e.home] = bs[:last]
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.wheel[e.home] = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
 	e.home = homeNone
 	s.inWheel--
 }
@@ -263,23 +273,23 @@ func (s *Scheduler) advanceTo(tick int64) {
 	}
 	for len(s.overflow) > 0 && int64(s.overflow[0].at)>>tickShift < s.cursor+wheelSize {
 		e := heap.Pop(&s.overflow).(*Event)
-		s.bucketPut(e, int((int64(e.at)>>tickShift)&wheelMask))
+		s.link(e, int((int64(e.at)>>tickShift)&wheelMask))
 	}
 }
 
 // firstBucket scans forward from the cursor for the first occupied bucket
-// and reports it with its tick. Within the wheel's horizon every tick maps
+// and reports its list head with its tick. Within the wheel's horizon every tick maps
 // to a distinct bucket, so scanning bucket indices in cursor order visits
 // ticks in increasing order; the scan is read-only (the cursor commits
 // only when an event actually fires, so an aborted bounded step leaves no
 // trace). The caller guarantees the wheel is non-empty.
 //
 //ctmsvet:hotpath
-func (s *Scheduler) firstBucket() ([]*Event, int64) {
+func (s *Scheduler) firstBucket() (*Event, int64) {
 	for k := int64(0); k < wheelSize; k++ {
 		tick := s.cursor + k
-		if bs := s.wheel[tick&wheelMask]; len(bs) > 0 {
-			return bs, tick
+		if head := s.wheel[tick&wheelMask]; head != nil {
+			return head, tick
 		}
 	}
 	Checkf(false, "wheel accounting broken: inWheel > 0 but no bucket is occupied")
@@ -379,9 +389,9 @@ func (s *Scheduler) Pending() int { return s.inWheel + len(s.overflow) }
 // barrier round.
 func (s *Scheduler) NextAt() (Time, bool) {
 	if s.inWheel > 0 {
-		bs, _ := s.firstBucket()
-		at := bs[0].at
-		for _, c := range bs[1:] {
+		head, _ := s.firstBucket()
+		at := head.at
+		for c := head.next; c != nil; c = c.next {
 			if c.at < at {
 				at = c.at
 			}
@@ -409,9 +419,9 @@ func (s *Scheduler) NextAt() (Time, bool) {
 func (s *Scheduler) step(bound Time) bool {
 	var e *Event
 	if s.inWheel > 0 {
-		bs, tick := s.firstBucket()
-		e = bs[0]
-		for _, c := range bs[1:] {
+		head, tick := s.firstBucket()
+		e = head
+		for c := head.next; c != nil; c = c.next {
 			if c.at < e.at || (c.at == e.at && c.seq < e.seq) {
 				e = c
 			}
@@ -449,8 +459,14 @@ func (s *Scheduler) Run() {
 
 // RunUntil dispatches events with timestamps up to and including t, then
 // advances the clock to exactly t. Events scheduled after t remain queued.
+// The sharded engine calls it once per shard per barrier round, so the
+// guard is condition-first like At's: a passing call boxes nothing.
+//
+//ctmsvet:hotpath
 func (s *Scheduler) RunUntil(t Time) {
-	Checkf(t >= s.now, "RunUntil(%v) is before now %v", t, s.now)
+	if t < s.now {
+		Checkf(false, "RunUntil(%v) is before now %v", t, s.now)
+	}
 	s.stopped = false
 	for !s.stopped && s.step(t) {
 	}

@@ -204,8 +204,10 @@ func TestSchedulerCancelRemovesEagerly(t *testing.T) {
 		t.Fatalf("want 50 pending after eager removal, got %d", got)
 	}
 	queued := len(s.overflow)
-	for _, bs := range s.wheel {
-		queued += len(bs)
+	for _, head := range s.wheel {
+		for e := head; e != nil; e = e.next {
+			queued++
+		}
 	}
 	if queued != 50 {
 		t.Fatalf("queues still hold %d entries, want 50", queued)
@@ -280,4 +282,29 @@ func TestTimeUnits(t *testing.T) {
 	if got := PerByte(Microsecond, 2000); got != 2*Millisecond {
 		t.Fatalf("PerByte: got %v", got)
 	}
+}
+
+// RunUntil runs once per shard per barrier round, so a passing call must
+// not box its guard's arguments; a violating call still panics with the
+// invariant message.
+func TestRunUntilPassingCallAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	if n := testing.AllocsPerRun(200, func() {
+		s.RunUntil(s.Now() + Microsecond)
+	}); n != 0 {
+		t.Fatalf("RunUntil allocates %.1f per call; want 0", n)
+	}
+}
+
+func TestRunUntilBeforeNowPanics(t *testing.T) {
+	s := NewScheduler()
+	s.RunUntil(10 * Microsecond)
+	defer func() {
+		r := recover()
+		want := "sim: invariant violated: RunUntil(5µs) is before now 10µs"
+		if r == nil || r.(string) != want {
+			t.Fatalf("panic %v; want %q", r, want)
+		}
+	}()
+	s.RunUntil(5 * Microsecond)
 }

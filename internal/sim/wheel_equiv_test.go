@@ -134,6 +134,7 @@ type fireRec struct {
 type equivWorkload struct {
 	rng     *rand.Rand
 	d       schedDriver
+	mix     equivMix
 	log     []fireRec
 	nextID  int
 	ids     []int
@@ -141,16 +142,37 @@ type equivWorkload struct {
 	budget  int
 }
 
-func newEquivWorkload(d schedDriver, seed int64, budget int) *equivWorkload {
+// equivMix shapes a workload: how many events each firing spawns, how
+// hard it cancels, and whether delays crowd into a couple of wheel ticks.
+type equivMix struct {
+	name string
+	// spawn: each firing schedules rng.Intn(spawn) new events.
+	spawn int
+	// cancels: each firing makes this many cancel attempts, each taken
+	// with probability 1/cancelOneIn, on a random earlier event.
+	cancels, cancelOneIn int
+	// sameTick sends five delays in six to one of four instants inside
+	// the next two ticks: long bucket lists full of (at, seq) ties.
+	sameTick bool
+}
+
+// defaultMix is the general workload.
+var defaultMix = equivMix{name: "default", spawn: 3, cancels: 1, cancelOneIn: 3}
+
+func newEquivWorkload(d schedDriver, seed int64, budget int, mix equivMix) *equivWorkload {
 	return &equivWorkload{
 		rng:     rand.New(rand.NewSource(seed)),
 		d:       d,
+		mix:     mix,
 		pending: make(map[int]func()),
 		budget:  budget,
 	}
 }
 
 func (w *equivWorkload) randDelay() Time {
+	if w.mix.sameTick && w.rng.Intn(6) != 0 {
+		return Time(w.rng.Intn(4)) * 50 * Microsecond
+	}
 	switch w.rng.Intn(6) {
 	case 0:
 		return 0 // same instant: exercises the (at, seq) FIFO tie
@@ -201,17 +223,19 @@ func (w *equivWorkload) repeater(period Time, n int) {
 }
 
 func (w *equivWorkload) onFire() {
-	for n := w.rng.Intn(3); n > 0; n-- {
+	for n := w.rng.Intn(w.mix.spawn); n > 0; n-- {
 		w.schedule(w.randDelay())
 	}
-	// Cancel a random earlier event; picking by id through the map keeps
+	// Cancel random earlier events; picking by id through the map keeps
 	// the choice deterministic (no map iteration) and makes cancels of
 	// already-fired events visible no-ops on both implementations.
-	if len(w.ids) > 0 && w.rng.Intn(3) == 0 {
-		id := w.ids[w.rng.Intn(len(w.ids))]
-		if cancel, ok := w.pending[id]; ok {
-			delete(w.pending, id)
-			cancel()
+	for i := 0; i < w.mix.cancels; i++ {
+		if len(w.ids) > 0 && w.rng.Intn(w.mix.cancelOneIn) == 0 {
+			id := w.ids[w.rng.Intn(len(w.ids))]
+			if cancel, ok := w.pending[id]; ok {
+				delete(w.pending, id)
+				cancel()
+			}
 		}
 	}
 }
@@ -231,28 +255,53 @@ func (w *equivWorkload) drive() {
 	w.d.run()
 }
 
+// checkWheelMatchesHeap drives the same workload through the wheel and
+// the reference heap and requires the identical firing sequence.
+func checkWheelMatchesHeap(t *testing.T, seed int64, mix equivMix) {
+	t.Helper()
+	wheel := newEquivWorkload(wheelDriver{NewScheduler()}, seed, 3000, mix)
+	wheel.drive()
+	ref := newEquivWorkload(refDriver{&refScheduler{}}, seed, 3000, mix)
+	ref.drive()
+
+	if len(wheel.log) == 0 {
+		t.Fatalf("%s seed %d: workload fired nothing", mix.name, seed)
+	}
+	if got, want := wheel.d.firedCount(), ref.d.firedCount(); got != want {
+		t.Fatalf("%s seed %d: Fired() diverged: wheel %d, heap %d", mix.name, seed, got, want)
+	}
+	if len(wheel.log) != len(ref.log) {
+		t.Fatalf("%s seed %d: fire counts diverged: wheel %d, heap %d", mix.name, seed, len(wheel.log), len(ref.log))
+	}
+	for i := range wheel.log {
+		if wheel.log[i] != ref.log[i] {
+			t.Fatalf("%s seed %d: firing sequence diverged at %d: wheel %+v, heap %+v",
+				mix.name, seed, i, wheel.log[i], ref.log[i])
+		}
+	}
+}
+
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		wheel := newEquivWorkload(wheelDriver{NewScheduler()}, seed, 3000)
-		wheel.drive()
-		ref := newEquivWorkload(refDriver{&refScheduler{}}, seed, 3000)
-		ref.drive()
+		checkWheelMatchesHeap(t, seed, defaultMix)
+	}
+}
 
-		if len(wheel.log) == 0 {
-			t.Fatalf("seed %d: workload fired nothing", seed)
-		}
-		if got, want := wheel.d.firedCount(), ref.d.firedCount(); got != want {
-			t.Fatalf("seed %d: Fired() diverged: wheel %d, heap %d", seed, got, want)
-		}
-		if len(wheel.log) != len(ref.log) {
-			t.Fatalf("seed %d: fire counts diverged: wheel %d, heap %d", seed, len(wheel.log), len(ref.log))
-		}
-		for i := range wheel.log {
-			if wheel.log[i] != ref.log[i] {
-				t.Fatalf("seed %d: firing sequence diverged at %d: wheel %+v, heap %+v",
-					seed, i, wheel.log[i], ref.log[i])
+// The wheel's buckets are intrusive lists: cancellation unlinks from the
+// middle of a list, and a bucket holding many same-instant events must
+// still fire in (at, seq) order. These mixes stress exactly that.
+func TestWheelMatchesHeapOrderUnderStress(t *testing.T) {
+	mixes := []equivMix{
+		{name: "cancel-heavy", spawn: 5, cancels: 3, cancelOneIn: 1},
+		{name: "same-tick-heavy", spawn: 3, cancels: 1, cancelOneIn: 3, sameTick: true},
+		{name: "same-tick-cancel-heavy", spawn: 5, cancels: 3, cancelOneIn: 1, sameTick: true},
+	}
+	for _, mix := range mixes {
+		t.Run(mix.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 12; seed++ {
+				checkWheelMatchesHeap(t, seed, mix)
 			}
-		}
+		})
 	}
 }
 

@@ -183,6 +183,9 @@ type Outgoing struct {
 	Done func(ring.DeliveryStatus)
 
 	queuedAt sim.Time
+	// frame is the ring frame this envelope travels in, filled at the
+	// transmit command; it lives and dies with the envelope.
+	frame ring.Frame
 	// Pooled-envelope recycling (SetRecycle): refs counts the two points
 	// after which the driver guarantees no further reads of this envelope.
 	recycle func(*Outgoing)
@@ -192,10 +195,11 @@ type Outgoing struct {
 // SetRecycle arms two-phase envelope recycling for pooled packets: fn runs
 // once the envelope is provably dead — after BOTH the transmit-complete
 // interrupt has run Done AND the receiving driver's class handler has
-// returned. Receivers read the envelope (class, routed fields, chain tag)
-// only synchronously inside their handler, and transmit-complete can fire
-// before or after that read, so neither side alone may reuse it. Both
-// release points run on the same ring's scheduler — no cross-shard access.
+// returned. Receivers read the envelope (class, routed fields, chain tag,
+// the embedded ring frame) only synchronously inside their handler, and
+// transmit-complete can fire before or after that read, so neither side
+// alone may reuse it. Both release points run on the same ring's
+// scheduler — no cross-shard access.
 // A frame dropped before classification (rx-buffer exhaustion) never
 // reaches its second release; the envelope is then simply garbage
 // collected and its pool refills on the cold path.
@@ -220,7 +224,10 @@ func (p *Outgoing) release() {
 	}
 }
 
-// Received is a packet arriving at the driver's split point.
+// Received is a packet arriving at the driver's split point. It lives in
+// the driver's receive job and stays valid until the receive interrupt's
+// task (the handler's segments included) has finished and the buffer has
+// been released; handlers must not keep it beyond that.
 type Received struct {
 	Frame *ring.Frame
 	Class Class
@@ -229,16 +236,27 @@ type Received struct {
 	At sim.Time
 	// Buffer is the fixed rx DMA buffer the packet sits in. The handler
 	// must Release exactly once, after whatever copying its path does.
-	Buffer  *rtpc.Buffer
-	release func()
+	Buffer     *rtpc.Buffer
+	release    func()
+	releaseSeg func() []rtpc.Seg
 }
 
 // Release frees the rx DMA buffer for the next frame.
 func (r *Received) Release() {
-	sim.Checkf(r.release != nil, "rx buffer released twice")
+	if r.release == nil {
+		sim.Checkf(false, "rx buffer released twice")
+	}
 	f := r.release
 	r.release = nil
 	f()
+}
+
+// ReleaseSeg returns a zero-cost segment that releases the rx buffer when
+// it runs — a handler's release mark, built without a closure.
+//
+//ctmsvet:hotpath
+func (r *Received) ReleaseSeg(name string) rtpc.Seg {
+	return rtpc.Seg{Name: name, Fn: r.releaseSeg}
 }
 
 // Handler consumes a classified packet. It runs inside the receive
@@ -279,13 +297,25 @@ type Driver struct {
 	// still being DMAd/transmitted. Copies run one at a time (they are
 	// CPU work and must finish in order); the wire stage is strictly
 	// serialized in copy order, which is what preserves packet sequence.
+	// One frame per stage means each stage's per-frame state is a driver
+	// field and its callbacks are method values bound once in New.
 	copyActive bool
-	wireQ      []*wireItem
+	copying    wireItem   // the packet in the copy stage
+	copySegs   []rtpc.Seg // its program, rebuilt in place per frame
+	wireQ      []wireItem // copied packets waiting for the wire
 	wireBusy   bool
-	lastSent   *Outgoing // survives in the fixed buffer for purge retransmit
+	wire       wireItem // the packet on the wire stage
+	wireStatus ring.DeliveryStatus
+	txIntr     []rtpc.Seg // the transmit-complete interrupt's program
+	preTxFn    func() []rtpc.Seg
+	txDMAFn    func()
+	txCardFn   func()
+	txStatusFn func(ring.DeliveryStatus)
 
 	rxBufs    []*rtpc.Buffer
-	rxPending int // frames between wire arrival and rx buffer claim
+	rxPending int    // frames between wire arrival and rx buffer claim
+	rxFree    *rxJob // recycled receive jobs
+	macSegs   []rtpc.Seg
 
 	handlers [numClasses]Handler
 	stats    Stats
@@ -307,6 +337,21 @@ func New(k *kernel.Kernel, st *ring.Station, cfg Config, timing Timing) *Driver 
 	}
 	for i := 0; i < cfg.RxBuffers; i++ {
 		d.rxBufs = append(d.rxBufs, rtpc.NewBuffer(fmt.Sprintf("rxdma%d", i), cfg.DMABufferKind, 4096))
+	}
+	d.preTxFn = d.preTransmit
+	d.txDMAFn = d.txDMADone
+	d.txCardFn = d.txCard
+	d.txStatusFn = d.txStatus
+	d.txIntr = []rtpc.Seg{
+		rtpc.Do("intr-dispatch", timing.IntrDispatchCost),
+		{Name: "tx-complete", Cost: timing.CompletionCost, Fn: d.txComplete},
+	}
+	d.macSegs = []rtpc.Seg{
+		rtpc.Do("intr-dispatch", timing.IntrDispatchCost),
+		rtpc.Do("parse-mac", timing.MACFrameCost),
+		// Purge recovery is handled in txComplete via the status bit;
+		// the mark only records that the interrupt saw the purge.
+		{Name: "purge-seen"},
 	}
 	st.OnReceive(d.frameArrived)
 	st.SetCopyGate(d.haveRxBuffer)
@@ -427,6 +472,8 @@ type wireItem struct {
 // buffer is free and no copy is in progress. The wire stage below is
 // constrained to send one packet completely before starting another —
 // that constraint is what preserves packet sequence (§3).
+//
+//ctmsvet:hotpath
 func (d *Driver) pumpTx() {
 	if d.copyActive {
 		return
@@ -440,6 +487,7 @@ func (d *Driver) pumpTx() {
 		return
 	}
 	d.copyActive = true
+	d.copying = wireItem{p: p, buf: buf}
 	buf.Fill(p.Size, p) // reserve the buffer for this packet's copy
 	if w := d.k.Sched().Now() - p.queuedAt; w > d.stats.MaxQueueWait {
 		d.stats.MaxQueueWait = w
@@ -451,34 +499,45 @@ func (d *Driver) pumpTx() {
 	}
 	m := d.k.Machine
 	// Driver entry: queue manipulation, buffer setup, adapter register
-	// programming.
-	segs := []rtpc.Seg{rtpc.Do("driver-entry", 120*sim.Microsecond)}
+	// programming. The program is rewritten in place: the previous copy
+	// task has already reached its final mark (copies are serialized).
+	segs := append(d.copySegs[:0], rtpc.Do("driver-entry", 120*sim.Microsecond)) //ctmsvet:allow hotpath cold refill path: the copy program grows only until it first reaches its longest shape, then is rewritten in place
 	if !d.cfg.PrecomputeHeader {
 		d.stats.HeaderComps++
-		segs = append(segs, rtpc.Do("compute-ring-header", d.cfg.HeaderComputeCost))
+		segs = append(segs, rtpc.Do("compute-ring-header", d.cfg.HeaderComputeCost)) //ctmsvet:allow hotpath cold refill path: the copy program grows only until it first reaches its longest shape, then is rewritten in place
 	}
 	if p.NoCopy {
 		// Pointer transfer: only the descriptor list is built by the CPU.
-		segs = append(segs, rtpc.Do("build-descriptors", 60*sim.Microsecond))
+		segs = append(segs, rtpc.Do("build-descriptors", 60*sim.Microsecond)) //ctmsvet:allow hotpath cold refill path: the copy program grows only until it first reaches its longest shape, then is rewritten in place
 	} else {
 		// The CPU copies the packet from mbufs (system memory) into the
 		// fixed DMA buffer — 1 µs/byte when the buffer is in IO Channel
 		// Memory. The copy loop is interruptible, so it is chunked.
-		segs = append(segs, m.CopySegs("copy-to-dma-buf", copyBytes, rtpc.SystemMemory, d.cfg.DMABufferKind)...)
+		segs = m.AppendCopySegs(segs, "copy-to-dma-buf", copyBytes, rtpc.SystemMemory, d.cfg.DMABufferKind)
 	}
-	segs = append(segs,
+	segs = append(segs, //ctmsvet:allow hotpath cold refill path: the copy program grows only until it first reaches its longest shape, then is rewritten in place
 		rtpc.Do("driver-jitter", m.Jitter(40*sim.Microsecond)),
-		rtpc.Mark("pre-transmit", func() {
-			if p.PreTransmit != nil {
-				p.PreTransmit()
-			}
-			d.copyActive = false
-			d.wireQ = append(d.wireQ, &wireItem{p: p, buf: buf})
-			d.pumpWire()
-			d.pumpTx() // another buffer may be free for the next copy
-		}),
+		rtpc.Seg{Name: "pre-transmit", Fn: d.preTxFn},
 	)
+	d.copySegs = segs
 	d.k.CPU().Submit(kernel.LevelNet, "tr0.start-output", segs, nil)
+}
+
+// preTransmit is the copy stage's final mark: measurement point 3, then
+// the hand-off to the wire stage.
+//
+//ctmsvet:hotpath
+func (d *Driver) preTransmit() []rtpc.Seg {
+	item := d.copying
+	d.copying = wireItem{}
+	if item.p.PreTransmit != nil {
+		item.p.PreTransmit()
+	}
+	d.copyActive = false
+	d.wireQ = append(d.wireQ, item) //ctmsvet:allow hotpath cold refill path: the wire queue holds at most TxBuffers items and grows only until it first reaches that depth
+	d.pumpWire()
+	d.pumpTx() // another buffer may be free for the next copy
+	return nil
 }
 
 // pumpWire starts the adapter on the next fully-copied packet, strictly
@@ -489,60 +548,84 @@ func (d *Driver) pumpWire() {
 	if d.wireBusy || len(d.wireQ) == 0 {
 		return
 	}
-	item := d.wireQ[0]
-	d.wireQ = d.wireQ[1:]
+	d.wire = d.wireQ[0]
+	n := copy(d.wireQ, d.wireQ[1:])
+	d.wireQ[n] = wireItem{}
+	d.wireQ = d.wireQ[:n]
 	d.wireBusy = true
-	d.issueTransmit(item.p, item.buf)
+	d.issueTransmit()
 }
 
-// issueTransmit gives the adapter the transmit command: the card DMAs the
-// frame out of the fixed buffer, processes it, and puts it on the ring.
-func (d *Driver) issueTransmit(p *Outgoing, buf *rtpc.Buffer) {
-	src := buf.Kind
+// issueTransmit gives the adapter the transmit command for the wire
+// stage's packet: the card DMAs the frame out of the fixed buffer,
+// processes it, and puts it on the ring.
+//
+//ctmsvet:hotpath
+func (d *Driver) issueTransmit() {
+	p := d.wire.p
+	src := d.wire.buf.Kind
 	if p.NoCopy {
 		src = rtpc.SystemMemory // the adapter DMAs straight from mbufs
 	}
-	d.txDMA.Transfer(p.Size, src, "tx", func() {
-		card := d.timing.TxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
-		d.k.Sched().After(card, "tr0.tx-card", func() {
-			prio := 0
-			if p.Class == ClassCTMSP {
-				prio = d.cfg.CTMSPRingPriority
-			}
-			f := ring.NewDataFrame(d.st.Addr(), p.Dst, prio, p.Size+RingOverhead, p.Capture, p)
-			d.st.Transmit(f, func(s ring.DeliveryStatus) {
-				d.txComplete(p, buf, s)
-			})
-		})
-	})
+	d.txDMA.Transfer(p.Size, src, "tx", d.txDMAFn)
 }
 
-// txComplete is the transmit-complete interrupt.
-func (d *Driver) txComplete(p *Outgoing, buf *rtpc.Buffer, s ring.DeliveryStatus) {
-	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		rtpc.Then("tx-complete", d.timing.CompletionCost, func() {
-			if s.PurgeLost && d.cfg.PurgeInterrupt {
-				// Hypothetical adapter: retransmit the packet still
-				// sitting in the fixed DMA buffer.
-				d.stats.Retransmits++
-				d.issueTransmit(p, buf)
-				return
-			}
-			// Real adapter: the driver never learns about a purge loss.
-			d.lastSent = p
-			buf.Clear()
-			d.wireBusy = false
-			d.stats.TxDone[p.Class]++
-			if p.Done != nil {
-				p.Done(s)
-			}
-			p.release() // transmit side is finished with the envelope
-			d.pumpWire()
-			d.pumpTx()
-		}),
+// txDMADone runs when the frame is in the adapter: firmware latency, with
+// its jitter drawn now, then the frame goes to the ring.
+//
+//ctmsvet:hotpath
+func (d *Driver) txDMADone() {
+	card := d.timing.TxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
+	d.k.Sched().After(card, "tr0.tx-card", d.txCardFn)
+}
+
+// txCard puts the wire stage's packet on the ring in the frame embedded in
+// its envelope.
+//
+//ctmsvet:hotpath
+func (d *Driver) txCard() {
+	p := d.wire.p
+	prio := 0
+	if p.Class == ClassCTMSP {
+		prio = d.cfg.CTMSPRingPriority
 	}
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.tx-intr", segs, nil)
+	p.frame.InitData(d.st.Addr(), p.Dst, prio, p.Size+RingOverhead, p.Capture, p)
+	d.st.Transmit(&p.frame, d.txStatusFn)
+}
+
+// txStatus receives the returning frame's delivery status and raises the
+// transmit-complete interrupt.
+//
+//ctmsvet:hotpath
+func (d *Driver) txStatus(s ring.DeliveryStatus) {
+	d.wireStatus = s
+	d.k.CPU().Submit(kernel.LevelNet, "tr0.tx-intr", d.txIntr, nil)
+}
+
+// txComplete is the transmit-complete interrupt's work.
+//
+//ctmsvet:hotpath
+func (d *Driver) txComplete() []rtpc.Seg {
+	p, buf, s := d.wire.p, d.wire.buf, d.wireStatus
+	if s.PurgeLost && d.cfg.PurgeInterrupt {
+		// Hypothetical adapter: retransmit the packet still sitting in
+		// the fixed DMA buffer.
+		d.stats.Retransmits++
+		d.issueTransmit()
+		return nil
+	}
+	// Real adapter: the driver never learns about a purge loss.
+	d.wire = wireItem{}
+	buf.Clear()
+	d.wireBusy = false
+	d.stats.TxDone[p.Class]++
+	if p.Done != nil {
+		p.Done(s)
+	}
+	p.release() // transmit side is finished with the envelope
+	d.pumpWire()
+	d.pumpTx()
+	return nil
 }
 
 // ---- receive path ----
@@ -562,6 +645,7 @@ func (d *Driver) haveRxBuffer() bool {
 	return false
 }
 
+//ctmsvet:hotpath
 func (d *Driver) claimRxBuf() *rtpc.Buffer {
 	for _, b := range d.rxBufs {
 		if !b.InUse() {
@@ -571,78 +655,168 @@ func (d *Driver) claimRxBuf() *rtpc.Buffer {
 	return nil
 }
 
+// rxJob carries one received frame from wire arrival to the end of its
+// receive interrupt. Several frames can be in flight (up to RxBuffers
+// claimed plus those still in card firmware), so jobs come from a free
+// list; each job's callbacks and its interrupt program are bound once,
+// when the job is first built. A job returns to the list when both its
+// interrupt task has finished (the handler's segments included) and its
+// buffer has been released, so the Received it carries stays valid for
+// the handler's whole copy path.
+type rxJob struct {
+	d    *Driver
+	f    *ring.Frame
+	size int
+	buf  *rtpc.Buffer
+	rcv  Received
+	// taskDone and released are the two conditions for recycling.
+	taskDone, released bool
+
+	segs     []rtpc.Seg // [intr-dispatch, classify]
+	cardFn   func()
+	dmaFn    func()
+	doneFn   func()
+	relFn    func()
+	relSegFn func() []rtpc.Seg
+	nextFree *rxJob
+}
+
+//ctmsvet:hotpath
+func (d *Driver) allocRxJob() *rxJob {
+	if j := d.rxFree; j != nil {
+		d.rxFree, j.nextFree = j.nextFree, nil
+		return j
+	}
+	return d.newRxJob()
+}
+
+// newRxJob builds a receive job and binds its callbacks: the cold refill
+// path of the job free list.
+func (d *Driver) newRxJob() *rxJob {
+	j := &rxJob{d: d}
+	j.cardFn = j.cardDone
+	j.dmaFn = j.interrupt
+	j.doneFn = j.finishTask
+	j.relFn = j.releaseBuf
+	j.relSegFn = j.releaseMark
+	j.segs = []rtpc.Seg{
+		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
+		{Name: "classify", Cost: d.timing.ClassifyCost, Fn: j.classify},
+	}
+	return j
+}
+
+//ctmsvet:hotpath
+func (d *Driver) putRxJob(j *rxJob) {
+	j.f, j.buf = nil, nil
+	j.rcv = Received{}
+	j.taskDone, j.released = false, false
+	j.nextFree, d.rxFree = d.rxFree, j
+}
+
 // frameArrived runs when a frame addressed to this station completes on
 // the wire: card firmware latency, DMA into a fixed rx buffer, then the
 // receive interrupt.
+//
+//ctmsvet:hotpath
 func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 	if f.Kind == ring.MAC {
 		d.macFrame(f)
 		return
 	}
 	d.rxPending++
-	size := f.Size - RingOverhead
+	j := d.allocRxJob()
+	j.f, j.size = f, f.Size-RingOverhead
 	card := d.timing.RxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
-	d.k.Sched().After(card, "tr0.rx-card", func() {
-		buf := d.claimRxBuf()
-		if buf == nil {
-			// Race: buffers filled since the copy gate passed.
-			d.rxPending--
-			d.stats.RxNoBuffer++
-			d.k.Sched().Trace().AddEvent(d.k.Sched().Now(), EvRxDrop, int64(d.rxPending), int64(size))
-			return
-		}
-		buf.Fill(size, f)
-		d.rxPending--
-		d.rxDMA.Transfer(size, buf.Kind, "rx", func() {
-			d.rxInterrupt(f, size, buf)
-		})
-	})
+	d.k.Sched().After(card, "tr0.rx-card", j.cardFn)
 }
 
-// rxInterrupt classifies the packet at the split point and runs the class
-// handler's copy path at interrupt level.
-func (d *Driver) rxInterrupt(f *ring.Frame, size int, buf *rtpc.Buffer) {
-	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		{Name: "classify", Cost: d.timing.ClassifyCost, Fn: func() []rtpc.Seg {
-			class := classOf(f)
-			d.stats.RxFrames[class]++
-			rcv := &Received{
-				Frame:  f,
-				Class:  class,
-				Size:   size,
-				At:     d.k.Sched().Now(),
-				Buffer: buf,
-			}
-			rcv.release = func() { buf.Clear() }
-			h := d.handlers[class]
-			if h == nil {
-				rcv.Release()
-				d.envelopeSeen(f)
-				return nil
-			}
-			segs := h(rcv)
-			d.envelopeSeen(f)
-			return segs
-		}},
+// cardDone claims a fixed rx buffer after card firmware latency and DMAs
+// the frame into it.
+//
+//ctmsvet:hotpath
+func (j *rxJob) cardDone() {
+	d := j.d
+	buf := d.claimRxBuf()
+	if buf == nil {
+		// Race: buffers filled since the copy gate passed.
+		d.rxPending--
+		d.stats.RxNoBuffer++
+		d.k.Sched().Trace().AddEvent(d.k.Sched().Now(), EvRxDrop, int64(d.rxPending), int64(j.size))
+		d.putRxJob(j)
+		return
 	}
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.rx-intr", segs, nil)
+	buf.Fill(j.size, j.f)
+	d.rxPending--
+	j.buf = buf
+	d.rxDMA.Transfer(j.size, buf.Kind, "rx", j.dmaFn)
+}
+
+// interrupt raises the receive interrupt once the frame is in the buffer.
+//
+//ctmsvet:hotpath
+func (j *rxJob) interrupt() {
+	j.d.k.CPU().Submit(kernel.LevelNet, "tr0.rx-intr", j.segs, j.doneFn)
+}
+
+// classify is the split point: it classifies the packet and runs the
+// class handler, whose returned copy path executes at interrupt level.
+//
+//ctmsvet:hotpath
+func (j *rxJob) classify() []rtpc.Seg {
+	d, f := j.d, j.f
+	class := classOf(f)
+	d.stats.RxFrames[class]++
+	j.rcv = Received{
+		Frame:      f,
+		Class:      class,
+		Size:       j.size,
+		At:         d.k.Sched().Now(),
+		Buffer:     j.buf,
+		release:    j.relFn,
+		releaseSeg: j.relSegFn,
+	}
+	h := d.handlers[class]
+	if h == nil {
+		j.rcv.Release()
+		d.envelopeSeen(f)
+		return nil
+	}
+	segs := h(&j.rcv)
+	d.envelopeSeen(f)
+	return segs
+}
+
+//ctmsvet:hotpath
+func (j *rxJob) releaseBuf() {
+	j.buf.Clear()
+	j.released = true
+	if j.taskDone {
+		j.d.putRxJob(j)
+	}
+}
+
+//ctmsvet:hotpath
+func (j *rxJob) releaseMark() []rtpc.Seg {
+	j.rcv.Release()
+	return nil
+}
+
+//ctmsvet:hotpath
+func (j *rxJob) finishTask() {
+	j.taskDone = true
+	if j.released {
+		j.d.putRxJob(j)
+	}
 }
 
 // macFrame handles a MAC frame in promiscuous mode: pure interrupt
 // overhead, which is the point of experiment E7.
 func (d *Driver) macFrame(f *ring.Frame) {
 	d.stats.RxMACFrames++
-	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		rtpc.Do("parse-mac", d.timing.MACFrameCost),
-	}
+	segs := d.macSegs[:2]
 	if d.cfg.PurgeInterrupt && f.MAC == ring.MACRingPurge {
-		segs = append(segs, rtpc.Mark("purge-seen", func() {
-			// Purge recovery is handled in txComplete via the status
-			// bit; nothing further here.
-			return
-		}))
+		segs = d.macSegs
 	}
 	d.k.CPU().Submit(kernel.LevelNet, "tr0.mac-intr", segs, nil)
 }

@@ -44,9 +44,12 @@ func mkPacket(k *kernel.Kernel, size int, class Class, dst ring.Addr) *Outgoing 
 
 func TestEndToEndPacket(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
+	// The Received lives in a pooled receive job, so the handler keeps a
+	// copy, not the pointer.
 	var got *Received
 	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
-		got = rcv
+		c := *rcv
+		got = &c
 		rcv.Release()
 		return nil
 	})

@@ -150,7 +150,43 @@ type TxDriver struct {
 	MaxOutstanding int
 	outstanding    int
 
+	// Interrupt jobs and packet envelopes come from free lists that grow
+	// on first use, so the steady-state interrupt allocates only the
+	// packet's header tag and capture bytes (see ctmsp.Conn.BuildPacket).
+	intrFree *intrJob
+	pktFree  *txPacket
+	stampFn  func() []rtpc.Seg
+
 	stats TxStats
+}
+
+// intrJob is one VCA interrupt in flight: the handler's program, built
+// once per job (its shape is fixed by the driver's configuration), with
+// the tick and the drawn entry jitter as the per-interrupt cursor.
+// Interrupts can queue behind higher-level work, so several may be in
+// flight; a job returns to the free list when its task completes.
+type intrJob struct {
+	t        *TxDriver
+	tick     uint64
+	segs     []rtpc.Seg
+	doneFn   func()
+	nextFree *intrJob
+}
+
+// entryIdx is the position of the jittered "entry" segment in an
+// interrupt program.
+const entryIdx = 2
+
+// txPacket is one pooled packet envelope: the Outgoing with its permanent
+// chain shell, its Done and PreTransmit hooks and its recycle hook, all
+// bound once when the envelope is first built. num is the cursor: the
+// packet number the hooks report.
+type txPacket struct {
+	t         *TxDriver
+	out       tradapter.Outgoing
+	num       uint32
+	recycleFn func(*tradapter.Outgoing)
+	nextFree  *txPacket
 }
 
 // DriverName implements kernel.Driver.
@@ -183,6 +219,7 @@ func NewTxDriver(k *kernel.Kernel, dev *Device, conn *ctmsp.Conn, cfg TxConfig) 
 		return nil, fmt.Errorf("vca: %w", err)
 	}
 	t := &TxDriver{k: k, dev: dev, conn: conn, out: h.(func(*tradapter.Outgoing)), cfg: cfg}
+	t.stampFn = t.stampHeaders
 	dev.irq = t.interrupt
 	k.Register(t)
 	return t, nil
@@ -194,64 +231,136 @@ func (t *TxDriver) Stats() TxStats { return t.stats }
 // interrupt is the VCA interrupt: it runs the handler at the VCA's
 // interrupt level. The delay from here to the handler's first segment is
 // measurement points 1→2 (histogram 5).
+//
+//ctmsvet:hotpath
 func (t *TxDriver) interrupt(tick uint64) {
 	t.stats.Interrupts++
-	m := t.k.Machine
-	segs := []rtpc.Seg{
-		rtpc.Do("irq-dispatch", t.cfg.DispatchCost),
-		rtpc.Mark("handler-entry", func() {
-			if t.OnHandlerEntry != nil {
-				t.OnHandlerEntry(tick, t.k.Sched().Now())
-			}
-		}),
-		rtpc.Do("entry", t.cfg.EntryCost+m.Jitter(t.cfg.EntryJitterMax)),
-	}
-	if t.cfg.CopyVCAToMbufs {
-		segs = append(segs, m.CopySeg("vca-to-mbuf", t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
-	}
-	segs = append(segs,
-		rtpc.Do("mbuf-alloc", t.cfg.AllocCost),
-		rtpc.Then("stamp-headers", t.cfg.StampCost, func() { t.buildAndSend() }),
-	)
-	t.k.CPU().Submit(kernel.LevelVCA, "vca.intr", segs, nil)
+	j := t.allocIntr()
+	j.tick = tick
+	j.segs[entryIdx].Cost = t.cfg.EntryCost + t.k.Machine.Jitter(t.cfg.EntryJitterMax)
+	t.k.CPU().Submit(kernel.LevelVCA, "vca.intr", j.segs, j.doneFn)
 }
 
+//ctmsvet:hotpath
+func (t *TxDriver) allocIntr() *intrJob {
+	if j := t.intrFree; j != nil {
+		t.intrFree, j.nextFree = j.nextFree, nil
+		return j
+	}
+	return t.newIntr()
+}
+
+// newIntr builds an interrupt job and its program: the cold refill path.
+func (t *TxDriver) newIntr() *intrJob {
+	j := &intrJob{t: t}
+	j.doneFn = j.done
+	j.segs = []rtpc.Seg{
+		rtpc.Do("irq-dispatch", t.cfg.DispatchCost),
+		{Name: "handler-entry", Fn: j.handlerEntry},
+		rtpc.Do("entry", 0), // entryIdx: cost drawn per interrupt
+	}
+	if t.cfg.CopyVCAToMbufs {
+		j.segs = append(j.segs, t.k.Machine.CopySeg("vca-to-mbuf", t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
+	}
+	j.segs = append(j.segs,
+		rtpc.Do("mbuf-alloc", t.cfg.AllocCost),
+		rtpc.Seg{Name: "stamp-headers", Cost: t.cfg.StampCost, Fn: t.stampFn},
+	)
+	return j
+}
+
+//ctmsvet:hotpath
+func (j *intrJob) handlerEntry() []rtpc.Seg {
+	if t := j.t; t.OnHandlerEntry != nil {
+		t.OnHandlerEntry(j.tick, t.k.Sched().Now())
+	}
+	return nil
+}
+
+//ctmsvet:hotpath
+func (j *intrJob) done() {
+	t := j.t
+	j.nextFree, t.intrFree = t.intrFree, j
+}
+
+//ctmsvet:hotpath
+func (t *TxDriver) stampHeaders() []rtpc.Seg {
+	t.buildAndSend()
+	return nil
+}
+
+//ctmsvet:hotpath
 func (t *TxDriver) buildAndSend() {
 	if t.MaxOutstanding > 0 && t.outstanding >= t.MaxOutstanding {
 		t.stats.QueueDrops++
 		return
 	}
-	var num uint32
-	pkt := t.conn.BuildPacket(t.cfg.DataBytes, t.cfg.CopyHeaderOnly,
-		func() {
-			if t.OnPreTransmit != nil {
-				t.OnPreTransmit(num, t.k.Sched().Now())
-			}
-		},
-		func(s ring.DeliveryStatus) {
-			t.outstanding--
-			t.stats.PacketsSent++
-			if t.OnTxDone != nil {
-				t.OnTxDone(num, s)
-			}
-		},
-	)
-	if pkt == nil {
+	p := t.allocPacket()
+	if !t.conn.BuildPacket(&p.out, t.cfg.DataBytes, t.cfg.CopyHeaderOnly) {
 		t.stats.MbufDrops++
+		t.putPacket(p)
 		return
 	}
-	num = pkt.Chain.Tag.(ctmsp.Header).PacketNum
+	p.num = p.out.Chain.Tag.(ctmsp.Header).PacketNum
 	t.outstanding++
-	chain := pkt.Chain
-	oldDone := pkt.Done
-	pkt.Done = func(s ring.DeliveryStatus) {
-		t.k.Pool.Free(chain)
-		oldDone(s)
-	}
+	p.out.SetRecycle(p.recycleFn)
 	if t.PatchOutgoing != nil {
-		t.PatchOutgoing(pkt)
+		t.PatchOutgoing(&p.out)
 	}
-	t.out(pkt)
+	t.out(&p.out)
+}
+
+//ctmsvet:hotpath
+func (t *TxDriver) allocPacket() *txPacket {
+	if p := t.pktFree; p != nil {
+		t.pktFree, p.nextFree = p.nextFree, nil
+		return p
+	}
+	return t.newPacket()
+}
+
+// newPacket builds an envelope and binds its hooks: the cold refill path.
+func (t *TxDriver) newPacket() *txPacket {
+	p := &txPacket{t: t}
+	p.out.Chain = &kernel.Chain{}
+	p.out.PreTransmit = p.preTransmit
+	p.out.Done = p.done
+	p.recycleFn = p.recycle
+	return p
+}
+
+//ctmsvet:hotpath
+func (p *txPacket) preTransmit() {
+	if t := p.t; t.OnPreTransmit != nil {
+		t.OnPreTransmit(p.num, t.k.Sched().Now())
+	}
+}
+
+// done is the packet's transmit-complete hook: free the mbufs, then the
+// driver's accounting and probe.
+//
+//ctmsvet:hotpath
+func (p *txPacket) done(s ring.DeliveryStatus) {
+	t := p.t
+	t.k.Pool.Free(p.out.Chain)
+	t.outstanding--
+	t.stats.PacketsSent++
+	if t.OnTxDone != nil {
+		t.OnTxDone(p.num, s)
+	}
+}
+
+// recycle runs once the Token Ring driver's two-phase release proves the
+// envelope dead (transmit complete and the receiver's handler returned).
+//
+//ctmsvet:hotpath
+func (p *txPacket) recycle(*tradapter.Outgoing) { p.t.putPacket(p) }
+
+//ctmsvet:hotpath
+func (t *TxDriver) putPacket(p *txPacket) {
+	p.out.Chain.Tag = nil
+	p.out.Capture = nil
+	p.nextFree, t.pktFree = t.pktFree, p
 }
 
 // RxConfig selects the receive-side driver variants of §5.3.
@@ -301,7 +410,20 @@ type RxDriver struct {
 	// presentation device.
 	OnDelivered func(h ctmsp.Header, at sim.Time, ev ctmsp.Event)
 
+	free  *rxJob // recycled receive jobs
 	stats RxStats
+}
+
+// rxJob carries one packet through the receive copy path. The path's
+// segments run inside the Token Ring driver's receive task, so the job
+// returns to the free list at its own final mark, deliver. Its program is
+// rewritten in place per packet; the header is the cursor.
+type rxJob struct {
+	r         *RxDriver
+	h         ctmsp.Header
+	segs      []rtpc.Seg
+	deliverFn func() []rtpc.Seg
+	nextFree  *rxJob
 }
 
 // NewRxDriver installs the receive driver on the TR driver's split point.
@@ -315,6 +437,8 @@ func NewRxDriver(k *kernel.Kernel, trdrv *tradapter.Driver, recv *ctmsp.Receiver
 func (r *RxDriver) Stats() RxStats { return r.stats }
 
 // handle runs at the split point, inside the receive interrupt.
+//
+//ctmsvet:hotpath
 func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 	if !ok {
@@ -333,26 +457,47 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 		r.OnClassified(h, rcv.At)
 	}
 
+	j := r.allocJob()
+	j.h = h
 	m := r.k.Machine
-	var segs []rtpc.Seg
+	segs := j.segs[:0]
 	if r.cfg.CopyToMbufs {
-		segs = append(segs, m.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-		segs = append(segs, rtpc.Mark("release", rcv.Release))
+		segs = m.AppendCopySegs(segs, "dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	} else {
-		segs = append(segs,
-			rtpc.Do("examine-in-place", r.cfg.ExamineCost),
-			rtpc.Mark("release", rcv.Release),
-		)
+		segs = append(segs, rtpc.Do("examine-in-place", r.cfg.ExamineCost)) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
 	}
+	segs = append(segs, rcv.ReleaseSeg("release")) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
 	if r.cfg.CopyToDevice {
-		segs = append(segs, m.CopySegs("mbuf-to-vca", rcv.Size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)...)
+		segs = m.AppendCopySegs(segs, "mbuf-to-vca", rcv.Size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)
 	}
-	segs = append(segs, rtpc.Mark("deliver", func() {
-		ev := r.recv.Accept(h, r.k.Sched().Now())
-		r.stats.Delivered++
-		if r.OnDelivered != nil {
-			r.OnDelivered(h, r.k.Sched().Now(), ev)
-		}
-	}))
+	segs = append(segs, rtpc.Seg{Name: "deliver", Fn: j.deliverFn}) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
+	j.segs = segs
 	return segs
+}
+
+//ctmsvet:hotpath
+func (r *RxDriver) allocJob() *rxJob {
+	if j := r.free; j != nil {
+		r.free, j.nextFree = j.nextFree, nil
+		return j
+	}
+	j := &rxJob{r: r}       //ctmsvet:allow hotpath cold refill path, runs only until the job list reaches steady state
+	j.deliverFn = j.deliver //ctmsvet:allow hotpath cold refill path, bound once per pooled job
+	return j
+}
+
+// deliver is the copy path's final mark: the packet has reached (or been
+// dropped on behalf of) the device. It is the job's last use, so the job
+// returns to the free list here.
+//
+//ctmsvet:hotpath
+func (j *rxJob) deliver() []rtpc.Seg {
+	r, h := j.r, j.h
+	ev := r.recv.Accept(h, r.k.Sched().Now())
+	r.stats.Delivered++
+	if r.OnDelivered != nil {
+		r.OnDelivered(h, r.k.Sched().Now(), ev)
+	}
+	j.nextFree, r.free = r.free, j
+	return nil
 }
