@@ -5,9 +5,13 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race race-shards perfbench-test bench bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build test race race-shards perfbench-test bench bench-check bench-baseline api-check api-golden clean
 
-ci: vet lint build race race-shards perfbench-test bench bench-check api-check
+ci: fmt vet lint build race race-shards perfbench-test bench bench-check api-check
+
+# Every Go file in the tree, _perfbench included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

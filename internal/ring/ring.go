@@ -82,8 +82,7 @@ type Ring struct {
 	sched    *sim.Scheduler
 	cfg      Config
 	rng      *sim.RNG
-	stations []*Station
-	byAddr   map[Addr]*Station
+	stations []*Station // station with address a sits at stations[a-1]
 	queues   [8][]*txRequest
 	rrCursor int // round-robin start position within a priority class
 
@@ -110,10 +109,9 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 		cfg.PurgeDuration = DefaultConfig().PurgeDuration
 	}
 	r := &Ring{
-		sched:  sched,
-		cfg:    cfg,
-		rng:    sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
-		byAddr: make(map[Addr]*Station),
+		sched: sched,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
 	}
 	r.maybeStartFn = r.maybeStart
 	return r
@@ -196,18 +194,22 @@ func (r *Ring) WireTime(n int) sim.Time {
 }
 
 // Attach creates a station, inserts it into the ring quietly (no purge —
-// used for initial topology construction) and returns it.
+// used for initial topology construction) and returns it. Addresses are
+// dense: the n-th attached station gets address n.
 func (r *Ring) Attach(name string) *Station {
 	addr := Addr(len(r.stations) + 1)
 	st := &Station{ring: r, addr: addr, name: name, inserted: true}
 	r.stations = append(r.stations, st)
-	r.byAddr[addr] = st
 	return st
 }
 
-// Station looks up a station by address.
+// Station looks up a station by address. It returns nil for address 0,
+// for Broadcast and for any address no station was attached under.
 func (r *Ring) Station(a Addr) *Station {
-	return r.byAddr[a]
+	if a == 0 || int(a) > len(r.stations) {
+		return nil
+	}
+	return r.stations[a-1]
 }
 
 // Stations reports how many stations are attached.
@@ -352,7 +354,7 @@ func (r *Ring) finish(req *txRequest) {
 func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 	if f.Dst == Broadcast || f.Kind == MAC {
 		for _, st := range r.stations {
-			if !st.inserted || st == r.byAddr[f.Src] {
+			if !st.inserted || st.addr == f.Src {
 				continue
 			}
 			if f.Kind == MAC && !st.promiscuousMAC {
@@ -367,7 +369,7 @@ func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 		status.FrameCopied = true
 		return
 	}
-	dst := r.byAddr[f.Dst]
+	dst := r.Station(f.Dst)
 	if dst == nil || !dst.inserted {
 		return // A and C bits stay clear
 	}

@@ -51,6 +51,7 @@ type task struct {
 	onDone    func()
 	submitted sim.Time
 	started   bool
+	nextFree  *task // free-list link
 }
 
 // taskq is a FIFO of pending tasks at one interrupt level. Pop advances a
@@ -116,7 +117,8 @@ type CPU struct {
 	segTask  *task             // task whose segment is in flight (inSeg)
 	segFn    func() []Seg      // that segment's completion action
 	labels   map[string]string // task name → "<cpu>.<name>" label cache
-	free     []*task           // recycled task objects
+	free     *task             // recycled task objects linked through nextFree
+	nFree    int               // length of the free list, capped at maxFreeTasks
 
 	sysDMAActive int // DMA engines currently targeting system memory
 	interference float64
@@ -138,7 +140,6 @@ func NewCPU(sched *sim.Scheduler, name string, interference float64) *CPU {
 		mask:         -1,
 		kickName:     name + ".dispatch",
 		labels:       make(map[string]string),
-		free:         make([]*task, 0, maxFreeTasks),
 	}
 	c.kickFn = func() {
 		c.kick = false
@@ -176,10 +177,9 @@ func NewCPU(sched *sim.Scheduler, name string, interference float64) *CPU {
 //
 //ctmsvet:hotpath
 func (c *CPU) allocTask() *task {
-	if n := len(c.free); n > 0 {
-		t := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+	if t := c.free; t != nil {
+		c.free, t.nextFree = t.nextFree, nil
+		c.nFree--
 		return t
 	}
 	return &task{} //ctmsvet:allow hotpath cold refill path, runs only until the free list reaches steady state
@@ -193,8 +193,9 @@ func (c *CPU) recycleTask(t *task) {
 	t.segs, t.onDone = nil, nil
 	t.next = 0
 	t.name, t.label = "", ""
-	if len(c.free) < maxFreeTasks {
-		c.free = append(c.free, t) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeTasks and the len guard keeps it there
+	if c.nFree < maxFreeTasks {
+		t.nextFree, c.free = c.free, t
+		c.nFree++
 	}
 }
 

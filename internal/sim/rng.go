@@ -14,9 +14,13 @@ import (
 // removing one traffic source does not perturb the draws seen by another —
 // this keeps experiments comparable across configuration toggles.
 //
+// The math/rand source (a 607-word table that is costly to seed) is built
+// on the first draw, not in NewRNG. Many RNGs exist only to be forked, and
+// Fork reads nothing but the seed, so those never pay for a source.
+//
 //ctmsvet:shardowned
 type RNG struct {
-	r    *rand.Rand
+	r    *rand.Rand // nil until the first draw; see src
 	seed int64
 
 	// Zipf sampler state: the CDF is precomputed once per (n, s) pair and
@@ -27,9 +31,22 @@ type RNG struct {
 	zipfCDF []float64
 }
 
-// NewRNG returns a generator seeded with seed.
+// NewRNG returns a generator seeded with seed. It only records the seed;
+// the source is seeded on the first draw.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return &RNG{seed: seed}
+}
+
+// src returns the underlying generator, seeding it on the first draw.
+// Every draw method goes through here, so a lazily seeded RNG yields
+// exactly the sequence an eagerly seeded one would.
+//
+//ctmsvet:hotpath
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed)) //ctmsvet:allow hotpath cold first-draw path, seeds the source once per RNG
+	}
+	return g.r
 }
 
 // Seed reports the seed this generator was created with.
@@ -49,13 +66,13 @@ func (g *RNG) Fork(label string) *RNG {
 }
 
 // Float64 returns a uniform variate in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Intn returns a uniform integer in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+func (g *RNG) Bool(p float64) bool { return g.src().Float64() < p }
 
 // Uniform returns a duration uniformly distributed in [lo, hi]. The
 // bounds guard is condition-first so the passing path never boxes the
@@ -71,7 +88,7 @@ func (g *RNG) Uniform(lo, hi Time) Time {
 	if hi == lo {
 		return lo
 	}
-	return lo + Time(g.r.Int63n(int64(hi-lo)+1))
+	return lo + Time(g.src().Int63n(int64(hi-lo)+1))
 }
 
 // Exp returns an exponentially distributed duration with the given mean.
@@ -83,12 +100,12 @@ func (g *RNG) Exp(mean Time) Time {
 	if mean <= 0 {
 		Checkf(false, "Exp mean must be positive, got %v", mean)
 	}
-	return Time(g.r.ExpFloat64() * float64(mean))
+	return Time(g.src().ExpFloat64() * float64(mean))
 }
 
 // Normal returns a normally distributed duration truncated at zero.
 func (g *RNG) Normal(mean, stddev Time) Time {
-	v := float64(mean) + g.r.NormFloat64()*float64(stddev)
+	v := float64(mean) + g.src().NormFloat64()*float64(stddev)
 	if v < 0 {
 		v = 0
 	}
@@ -99,7 +116,7 @@ func (g *RNG) Normal(mean, stddev Time) Time {
 // normal has the given mu and sigma (in log-nanosecond space). Long-tailed
 // kernel code-path costs use this.
 func (g *RNG) LogNormal(mu, sigma float64) Time {
-	return Time(math.Exp(mu + sigma*g.r.NormFloat64()))
+	return Time(math.Exp(mu + sigma*g.src().NormFloat64()))
 }
 
 // Pareto returns a bounded Pareto-distributed duration in [lo, hi] with
@@ -108,7 +125,7 @@ func (g *RNG) Pareto(lo, hi Time, alpha float64) Time {
 	Checkf(hi > lo && lo > 0, "Pareto bounds invalid: [%v, %v]", lo, hi)
 	l := float64(lo)
 	h := float64(hi)
-	u := g.r.Float64()
+	u := g.src().Float64()
 	la := math.Pow(l, alpha)
 	ha := math.Pow(h, alpha)
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
@@ -135,7 +152,7 @@ func (g *RNG) Zipf(n int, s float64) int {
 		g.zipfN, g.zipfS = n, s
 		g.zipfCDF = zipfCDF(n, s)
 	}
-	u := g.r.Float64()
+	u := g.src().Float64()
 	cdf := g.zipfCDF
 	return sort.Search(n, func(i int) bool { return cdf[i] > u })
 }

@@ -2,9 +2,96 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// rngDraws lists every draw method, each reduced to one comparable value.
+var rngDraws = []struct {
+	name string
+	draw func(g *RNG) float64
+}{
+	{"Float64", func(g *RNG) float64 { return g.Float64() }},
+	{"Intn", func(g *RNG) float64 { return float64(g.Intn(1000)) }},
+	{"Bool", func(g *RNG) float64 {
+		if g.Bool(0.3) {
+			return 1
+		}
+		return 0
+	}},
+	{"Uniform", func(g *RNG) float64 { return float64(g.Uniform(Microsecond, Millisecond)) }},
+	{"Exp", func(g *RNG) float64 { return float64(g.Exp(Millisecond)) }},
+	{"Normal", func(g *RNG) float64 { return float64(g.Normal(Millisecond, 200*Microsecond)) }},
+	{"LogNormal", func(g *RNG) float64 { return float64(g.LogNormal(10, 0.5)) }},
+	{"Pareto", func(g *RNG) float64 { return float64(g.Pareto(Millisecond, Second, 1.3)) }},
+	{"Zipf", func(g *RNG) float64 { return float64(g.Zipf(50, 1.1)) }},
+	{"Pick", func(g *RNG) float64 { return float64(Pick(g, []int{3, 5, 7, 11})) }},
+}
+
+// TestRNGLazySeedMatchesEager pins that seeding on the first draw changes
+// no variate: for several seeds, and whichever method draws first, a
+// NewRNG generator yields exactly the sequence of one wrapped around
+// rand.New(rand.NewSource(seed)) from the start.
+func TestRNGLazySeedMatchesEager(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -42, 1 << 40} {
+		for first := range rngDraws {
+			lazy := NewRNG(seed)
+			eager := &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+			for i := 0; i < 20*len(rngDraws); i++ {
+				d := rngDraws[(first+i)%len(rngDraws)]
+				if got, want := d.draw(lazy), d.draw(eager); got != want {
+					t.Fatalf("seed %d, first draw %s: draw %d (%s) = %v, eager source gives %v",
+						seed, rngDraws[first].name, i, d.name, got, want)
+				}
+			}
+		}
+		// The raw stream, with no wrapper on the reference side.
+		g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ {
+			if got, want := g.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d: Float64 draw %d = %v, rand source gives %v", seed, i, got, want)
+			}
+			if got, want := g.Intn(97), ref.Intn(97); got != want {
+				t.Fatalf("seed %d: Intn draw %d = %v, rand source gives %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRNGForkBeforeFirstDraw pins that Fork reads only the seed: a child
+// forked before the parent's first draw equals one forked after, and
+// forking does not seed the parent.
+func TestRNGForkBeforeFirstDraw(t *testing.T) {
+	for _, seed := range []int64{1, 7, 99} {
+		a := NewRNG(seed)
+		fa := a.Fork("bg-mac")
+		if a.r != nil {
+			t.Fatal("Fork seeded the parent's source")
+		}
+		b := NewRNG(seed)
+		b.Float64()
+		fb := b.Fork("bg-mac")
+		for i := 0; i < 100; i++ {
+			if fa.Float64() != fb.Float64() {
+				t.Fatalf("seed %d: fork before and after the first draw diverged at draw %d", seed, i)
+			}
+		}
+	}
+}
+
+var forkSink *RNG
+
+// TestRNGForkAllocs pins the construction cost the lazy source buys: a
+// fork of a fresh RNG allocates the two RNG structs and never a source.
+func TestRNGForkAllocs(t *testing.T) {
+	n := testing.AllocsPerRun(100, func() {
+		forkSink = NewRNG(5).Fork("ring-token-jitter")
+	})
+	if n > 2 {
+		t.Fatalf("NewRNG(s).Fork(l) made %v allocations, want ≤ 2 (no source before the first draw)", n)
+	}
+}
 
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)

@@ -134,7 +134,8 @@ type Scheduler struct {
 	wheel    []*Event  // wheelSize bucket list heads; tick t lives at wheel[t&wheelMask]
 	inWheel  int       // events currently in wheel buckets
 	overflow eventHeap // events at or past cursor+wheelSize ticks
-	free     []*Event  // recycled Event objects, reused by At/After
+	free     *Event    // recycled Event objects linked through next, reused by At/After
+	nFree    int       // length of the free list, capped at maxFreeEvents
 	stopped  bool
 	fired    uint64
 	trace    *Trace
@@ -155,10 +156,9 @@ const maxFreeEvents = 1024
 //
 //ctmsvet:hotpath
 func (s *Scheduler) alloc() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if e := s.free; e != nil {
+		s.free, e.next = e.next, nil
+		s.nFree--
 		e.cancelled = false
 		return e
 	}
@@ -166,28 +166,27 @@ func (s *Scheduler) alloc() *Event {
 }
 
 // recycle returns a popped or cancelled event to the free list, dropping
-// its closure and name so they can be collected.
+// its closure and name so they can be collected. A dequeued event is in no
+// bucket, so its next link is free to thread the list.
 //
 //ctmsvet:hotpath
 func (s *Scheduler) recycle(e *Event) {
 	e.fn = nil
 	e.name = ""
 	e.home = homeNone
-	if len(s.free) < maxFreeEvents {
-		s.free = append(s.free, e) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeEvents and the len guard keeps it there
+	if s.nFree < maxFreeEvents {
+		e.next, s.free = s.free, e
+		s.nFree++
 	}
 }
 
-// NewScheduler returns a scheduler with the clock at zero. The event free
-// list is preallocated to its cap so recycle never grows it, and the
-// wheel's bucket table is allocated up front. Buckets are intrusive
-// doubly linked lists threaded through Event.prev/next, so filling a
-// bucket allocates nothing.
+// NewScheduler returns a scheduler with the clock at zero. The wheel's
+// bucket table is allocated up front; the event free list starts empty
+// and grows as events are recycled. Buckets and the free list are
+// intrusive lists threaded through Event.prev/next, so neither filling a
+// bucket nor recycling an event allocates.
 func NewScheduler() *Scheduler {
-	return &Scheduler{
-		wheel: make([]*Event, wheelSize),
-		free:  make([]*Event, 0, maxFreeEvents),
-	}
+	return &Scheduler{wheel: make([]*Event, wheelSize)}
 }
 
 // Now reports the current simulated time.

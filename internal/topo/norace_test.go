@@ -1,0 +1,5 @@
+//go:build !race
+
+package topo_test
+
+const raceEnabled = false

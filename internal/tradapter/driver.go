@@ -16,6 +16,7 @@ package tradapter
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/kernel"
 	"repro/internal/ring"
@@ -333,10 +334,10 @@ func New(k *kernel.Kernel, st *ring.Station, cfg Config, timing Timing) *Driver 
 	d.txDMA = k.Machine.NewDMA("trdma-tx")
 	d.rxDMA = k.Machine.NewDMA("trdma-rx")
 	for i := 0; i < cfg.TxBuffers; i++ {
-		d.txBufs = append(d.txBufs, rtpc.NewBuffer(fmt.Sprintf("txdma%d", i), cfg.DMABufferKind, 4096))
+		d.txBufs = append(d.txBufs, rtpc.NewBuffer("txdma"+strconv.Itoa(i), cfg.DMABufferKind, 4096))
 	}
 	for i := 0; i < cfg.RxBuffers; i++ {
-		d.rxBufs = append(d.rxBufs, rtpc.NewBuffer(fmt.Sprintf("rxdma%d", i), cfg.DMABufferKind, 4096))
+		d.rxBufs = append(d.rxBufs, rtpc.NewBuffer("rxdma"+strconv.Itoa(i), cfg.DMABufferKind, 4096))
 	}
 	d.preTxFn = d.preTransmit
 	d.txDMAFn = d.txDMADone
