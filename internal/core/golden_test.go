@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,6 +89,27 @@ func TestE20GoldenFingerprints(t *testing.T) {
 			if got := n.Run(1).Fingerprint(); got != string(want) {
 				t.Fatalf("serial fingerprint drifted from %s:\n--- golden ---\n%s\n--- got ---\n%s",
 					tc.golden, want, got)
+			}
+		})
+	}
+}
+
+// TestE14Golden pins E14's rendered rows — delivered fraction, latency
+// mean and spread, router CPU share — at three seeds over the default two
+// simulated minutes. E14's shape checks (delivered > 0.999, latency
+// within a band, CPU < 50 %) would still pass a router that drifted, so
+// the rows themselves are the oracle any change to the bridge forwarding
+// path is held to.
+func TestE14Golden(t *testing.T) {
+	for _, seed := range []int64{1991, 7, 42} {
+		golden := fmt.Sprintf("e14_seed%d_2min.golden", seed)
+		t.Run(golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runE14(Scale{Seed: seed}).Render(); got != string(want) {
+				t.Fatalf("E14 rows drifted from %s:\n--- golden ---\n%s\n--- got ---\n%s", golden, want, got)
 			}
 		})
 	}
