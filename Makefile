@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build test race race-shards perfbench-test bench bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build test race race-shards perfbench-test bench bench-check bench-baseline api-check api-golden loc clean
 
 ci: fmt vet lint build race race-shards perfbench-test bench bench-check api-check
 
@@ -91,6 +91,15 @@ api-check:
 
 api-golden:
 	$(GO) doc -all . > api/golden.txt
+
+# Non-test Go line counts — the whole module, the analyzers and the
+# router — so every change that deletes code reports them the same way.
+# Counted: tracked *.go files, minus _test.go files, testdata/ and the
+# separate _perfbench module.
+loc:
+	@for p in module:'*.go' internal/analyzers:'internal/analyzers/*.go' internal/router:'internal/router/*.go'; do \
+		printf '%-20s %6d\n' "$${p%%:*}" "$$(git ls-files "$${p#*:}" | grep -v -e '_test\.go$$' -e 'testdata/' -e '^_perfbench/' | xargs cat | wc -l)"; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/ctmsp"
+	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/router"
 	"repro/internal/rtpc"
@@ -33,7 +34,13 @@ func runE14(s Scale) *Comparison {
 	rc1 := rc0
 	rc1.Seed = seed + 1
 	r1 := ring.New(sched, rc1)
-	rt := router.New(sched, "router", r0, r1, seed)
+	// The router is one RT/PC with an adapter on each ring: two bridge
+	// halves on a shared kernel, handing frames straight to each other, so
+	// both directions contend for one CPU (fn 5).
+	k := kernel.New(rtpc.NewMachine(sched, "router", rtpc.DefaultCostModel(), seed))
+	ha := router.NewHalf(k, "router-p0", r0, 0, 2)
+	hb := router.NewHalf(k, "router-p1", r1, 1, 2)
+	ha.Forward, hb.Forward = hb.Inject, ha.Inject
 
 	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) session.Host {
 		cfg := tradapter.DefaultConfig()
@@ -43,7 +50,6 @@ func runE14(s Scale) *Comparison {
 	src := mk("src", r0, rtpc.IOChannelMemory)
 	srcK, srcDrv := src.Kernel, src.Driver
 	dstDrv := mk("dst", r1, rtpc.SystemMemory).Driver
-	rt.AddRoute(0, dstDrv.Station().Addr(), 1)
 
 	// The 166 KB/s CTMS stream: one 2000-byte packet per 12 ms.
 	lat := stats.NewHistogram(100, "src→dst latency across router")
@@ -77,12 +83,13 @@ func runE14(s Scale) *Comparison {
 		sent++
 		pool := srcK.Pool
 		srcDrv.Output(&tradapter.Outgoing{
-			Chain:     ch,
-			Size:      2000,
-			Class:     tradapter.ClassCTMSP,
-			Dst:       rt.Port(0).Driver.Station().Addr(),
-			RoutedDst: dstDrv.Station().Addr(),
-			Done:      func(ring.DeliveryStatus) { pool.Free(ch) },
+			Chain:      ch,
+			Size:       2000,
+			Class:      tradapter.ClassCTMSP,
+			Dst:        ha.Station().Addr(),
+			RoutedDst:  dstDrv.Station().Addr(),
+			RoutedRing: 2,
+			Done:       func(ring.DeliveryStatus) { pool.Free(ch) },
 		})
 	})
 	sched.RunUntil(dur)
@@ -94,7 +101,7 @@ func runE14(s Scale) *Comparison {
 		frac > 0.999, "%.4f delivered (%d/%d)", frac, delivered, sent)
 	c.addf("added latency vs single ring", "a second hop's worth",
 		within(lat.Mean(), 18_000, 30_000), "mean %.0f µs (single ring ≈10 900)", lat.Mean())
-	util := float64(rt.Kernel().CPU().Stats().BusyTime) / float64(sched.Now())
+	util := float64(k.CPU().Stats().BusyTime) / float64(sched.Now())
 	c.addf("router CPU at the CTMS rate", "must keep up",
 		util < 0.5, "%.1f%%", 100*util)
 	c.addf("latency stability", "bounded queueing",

@@ -1,20 +1,20 @@
 // Package router implements the extension the paper's footnote 5 declines
 // ("we would have the additional problem of creating a router that could
 // keep up with the data rates that we were using. This is possible but
-// has not been implemented"): a store-and-forward machine joining two
-// Token Rings, forwarding CTMSP traffic between them.
+// has not been implemented"): a store-and-forward bridge joining Token
+// Rings, forwarding CTMSP traffic between them.
 //
-// The router is an RT/PC with one Token Ring adapter per ring. A frame
-// arriving on one ring whose destination lives on the other is received
-// into a fixed DMA buffer, switched at network interrupt level, copied to
-// the egress adapter and retransmitted. The interesting question — can it
-// keep up with a 166 KB/s CTMS stream? — is answered by the tests and by
-// experiment E14.
+// A bridge is built from Halves, one per ring attachment, each running on
+// an RT/PC kernel. A frame arriving on one ring whose destination lives on
+// another is received into a fixed DMA buffer, switched at network
+// interrupt level, copied out of that buffer and handed to the half that
+// retransmits it. Experiment E14 puts two Halves on one machine — the
+// two-port router of fn 5, both directions contending for one CPU — and
+// asks whether it keeps up with a 166 KB/s CTMS stream; internal/topo
+// gives each half its own machine on its own ring's shard.
 package router
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
@@ -30,139 +30,252 @@ import (
 // switch time, so a shard may safely run that far ahead of its neighbors.
 const DefaultSwitchCost = 180 * sim.Microsecond
 
-// Port is one of the router's ring attachments.
-type Port struct {
-	Ring   *ring.Ring
-	Driver *tradapter.Driver
-}
+// Half is one ring attachment of a bridge, forwarding through the RT/PC
+// kernel it is built on. Halves couple only through the Forward callback,
+// so the two ends of a bridge may share one machine and scheduler (E14:
+// Forward is the peer's Inject) or live on different sim.Schedulers. A
+// sharded topology (internal/topo) gives each ring its own shard; the
+// bridge between two rings is then a pair of Halves on separate machines
+// — frames leave one shard as plain values and re-enter the other via
+// Inject after the link's store-and-forward latency, which is what makes
+// the conservative lookahead window real rather than assumed.
+//
+// Ingress is the switch decision, one CPU copy out of the fixed DMA
+// buffer, then hand-off. The egress side (Inject) allocates an mbuf chain
+// on the half's kernel and queues the frame on its adapter, re-addressed
+// to either the final station or the next bridge along the path.
+type Half struct {
+	k       *kernel.Kernel
+	drv     *tradapter.Driver
+	ringIdx int
+	// nextHop[r] is the station address on THIS ring of the bridge half
+	// that continues toward internetwork ring r; 0 means no route.
+	nextHop []ring.Addr
+	stats   HalfStats
+	envs    envPool
+	jobs    *ingressJob // recycled ingress jobs
+	// recycleEnv is the pool-return hook armed on every injected envelope,
+	// built once so the per-frame SetRecycle call boxes no method value.
+	recycleEnv func(*tradapter.Outgoing)
 
-// Stats aggregates forwarding accounting.
-type Stats struct {
-	Forwarded   [2]uint64 // by ingress port
-	Bytes       uint64
-	Dropped     uint64
-	QueueMax    int
-	ForwardCost sim.Time // accumulated CPU time spent switching
-}
-
-// Router joins two rings. Routes are static, as CTMSP assumes: the
-// caller registers which destination addresses live behind which port.
-type Router struct {
-	k     *kernel.Kernel
-	ports [2]Port
-	// routes are per-ingress-port: each ring has its own address space,
-	// so a destination is only meaningful relative to where the frame
-	// came from.
-	routes [2]map[ring.Addr]int
-	stats  Stats
-
-	// SwitchCost is the per-frame CPU cost of the forwarding decision
-	// and descriptor shuffling.
+	// SwitchCost is the per-frame CPU cost of the forwarding decision.
 	SwitchCost sim.Time
+	// Forward receives each frame this half decided to forward, after the
+	// switch and copy segments complete. The shard engine wires it to the
+	// cross-shard link, and it must not touch this shard's state
+	// afterwards; a bridge on one machine wires it to the peer's Inject.
+	Forward func(Forwarded)
 }
 
-// New builds a router machine attached to both rings.
-func New(sched *sim.Scheduler, name string, r0, r1 *ring.Ring, seed int64) *Router {
-	m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)
-	k := kernel.New(m)
-	rt := &Router{
+// envPool is the free list of injected-frame envelopes. Each envelope is
+// an Outgoing with a permanently attached chain shell and a prebuilt Done
+// that frees the chain's mbufs at transmit complete; the envelope itself
+// returns here only after the driver's two-phase recycle (transmit done
+// AND receive handler returned), so a reused envelope can never be read
+// by a frame still in flight. Every transition happens on the owning
+// ring's scheduler — the pool never crosses a shard.
+//
+//ctmsvet:shardowned
+type envPool struct {
+	free []*tradapter.Outgoing
+}
+
+// ingressJob carries one frame through a half's ingress: switch, copy,
+// release, hand-off. The program runs inside the driver's receive task,
+// so the job returns to the free list at its own final mark, hand-off.
+// The program is rewritten in place per frame; the Forwarded value is the
+// cursor.
+type ingressJob struct {
+	h         *Half
+	fwd       Forwarded
+	segs      []rtpc.Seg
+	handOffFn func() []rtpc.Seg
+	nextFree  *ingressJob
+}
+
+// Forwarded is a frame in flight between two halves of a split bridge:
+// plain values only, so it can cross a shard boundary without sharing
+// memory with the shard that produced it.
+type Forwarded struct {
+	// DstRing is the 0-based internetwork index of the final ring.
+	DstRing int
+	// Dst is the final station address in DstRing's address space.
+	Dst     ring.Addr
+	Size    int
+	Class   tradapter.Class
+	Tag     any
+	Capture []byte
+}
+
+// HalfStats aggregates one half's forwarding accounting.
+type HalfStats struct {
+	Forwarded uint64 // frames this half accepted from its ring and passed on
+	Bytes     uint64
+	Injected  uint64 // frames this half re-transmitted onto its ring
+	Dropped   uint64 // unroutable ingress or mbuf exhaustion on egress
+	QueueMax  int
+}
+
+// NewHalf attaches one port of a bridge to rg, which is internetwork
+// ring ringIdx of rings total, forwarding on kernel k. Halves built on the
+// same kernel contend for its one CPU.
+func NewHalf(k *kernel.Kernel, name string, rg *ring.Ring, ringIdx, rings int) *Half {
+	sim.Checkf(ringIdx >= 0 && ringIdx < rings, "half %s: ring index %d out of %d rings", name, ringIdx, rings)
+	h := &Half{
 		k:          k,
+		ringIdx:    ringIdx,
+		nextHop:    make([]ring.Addr, rings),
 		SwitchCost: DefaultSwitchCost,
 	}
-	rt.routes[0] = make(map[ring.Addr]int)
-	rt.routes[1] = make(map[ring.Addr]int)
-	attach := func(idx int, rg *ring.Ring) {
-		st := rg.Attach(name + fmt.Sprintf("-p%d", idx))
-		cfg := tradapter.DefaultConfig()
-		cfg.DMABufferKind = rtpc.SystemMemory // routers copy; keep DMA fast
-		drv := tradapter.New(k, st, cfg, tradapter.DefaultTiming())
-		rt.ports[idx] = Port{Ring: rg, Driver: drv}
-		for _, class := range []tradapter.Class{tradapter.ClassCTMSP, tradapter.ClassIP, tradapter.ClassARP} {
-			class := class
-			idx := idx
-			drv.SetHandler(class, func(rcv *tradapter.Received) []rtpc.Seg {
-				return rt.ingress(idx, class, rcv)
-			})
-		}
+	h.recycleEnv = h.putEnv
+	st := rg.Attach(name)
+	cfg := tradapter.DefaultConfig()
+	cfg.DMABufferKind = rtpc.SystemMemory // routers copy; keep DMA fast
+	h.drv = tradapter.New(k, st, cfg, tradapter.DefaultTiming())
+	for _, class := range []tradapter.Class{tradapter.ClassCTMSP, tradapter.ClassIP, tradapter.ClassARP} {
+		class := class
+		h.drv.SetHandler(class, func(rcv *tradapter.Received) []rtpc.Seg {
+			return h.ingress(class, rcv)
+		})
 	}
-	attach(0, r0)
-	attach(1, r1)
-	return rt
+	return h
 }
 
-// Kernel exposes the router's machine (for CPU accounting in tests).
-func (rt *Router) Kernel() *kernel.Kernel { return rt.k }
-
-// Port returns one of the attachments.
-func (rt *Router) Port(i int) Port { return rt.ports[i] }
-
-// AddRoute declares that frames arriving on ingressPort for dst should
-// egress via the other port's ring, where dst is an address in THAT
-// ring's space.
-func (rt *Router) AddRoute(ingressPort int, dst ring.Addr, egressPort int) {
-	sim.Checkf(ingressPort == 0 || ingressPort == 1, "router has two ports")
-	sim.Checkf(egressPort == 0 || egressPort == 1, "router has two ports")
-	rt.routes[ingressPort][dst] = egressPort
-}
+// Station exposes the half's ring attachment; sources address frames
+// needing forwarding to this station.
+func (h *Half) Station() *ring.Station { return h.drv.Station() }
 
 // Stats returns a snapshot of forwarding accounting.
-func (rt *Router) Stats() Stats { return rt.stats }
+func (h *Half) Stats() HalfStats { return h.stats }
 
-// ingress runs at the receive interrupt of either adapter.
-func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Received) []rtpc.Seg {
+// SetRoute declares that traffic for internetwork ring dstRing continues
+// via the bridge station at `via` on this half's own ring. Injecting a
+// frame for a ring with no route is a configuration error.
+func (h *Half) SetRoute(dstRing int, via ring.Addr) {
+	sim.Checkf(dstRing >= 0 && dstRing < len(h.nextHop), "route to ring %d out of range", dstRing)
+	sim.Checkf(dstRing != h.ringIdx, "route to the half's own ring is meaningless")
+	h.nextHop[dstRing] = via
+}
+
+// ingress runs at the receive interrupt: frames MAC-addressed to this
+// half are in transit to another ring. The switch decision and the one
+// unavoidable CPU copy happen here; the hand-off to the peer half is the
+// final mark, carrying values only. A frame naming no final ring, or
+// claiming it already reached this one, is misrouted and dropped.
+//
+//ctmsvet:hotpath
+func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
-	if !ok {
-		rt.stats.Dropped++
+	if !ok || out.RoutedRing == 0 || out.RoutedRing-1 == h.ringIdx || h.Forward == nil {
+		h.stats.Dropped++
 		rcv.Release()
 		return nil
 	}
-	// The routed destination rides in the Outgoing the source built; in
-	// a two-ring world the router's own station was the MAC destination
-	// and the true target is the inner one. Model: the source sets
-	// Outgoing.RoutedDst when sending via a router.
-	dst := out.RoutedDst
-	egress, known := rt.routes[port][dst]
-	if !known || egress == port {
-		rt.stats.Dropped++
-		rcv.Release()
-		return nil
+	j := h.allocJob()
+	j.fwd = Forwarded{
+		DstRing: out.RoutedRing - 1,
+		Dst:     out.RoutedDst,
+		Size:    rcv.Size,
+		Class:   class,
+		Tag:     out.Chain.Tag,
+		Capture: out.Capture,
 	}
-
-	m := rt.k.Machine
-	size := rcv.Size
-	// The envelope may be recycled once this handler returns (see
-	// tradapter.Outgoing.SetRecycle), so the payload tag and capture are
-	// read now, not in the egress mark.
-	tag, capture := out.Chain.Tag, out.Capture
-	segs := []rtpc.Seg{rtpc.Do("switch", rt.SwitchCost)}
-	// Copy from the ingress fixed DMA buffer to the egress driver's
-	// mbufs (one CPU copy — routers on this hardware cannot avoid it).
-	segs = m.AppendCopySegs(segs, "forward-copy", size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	segs = append(segs, rtpc.Mark("release", rcv.Release))
-	segs = append(segs, rtpc.Mark("enqueue-egress", func() {
-		rt.stats.Forwarded[port]++
-		rt.stats.Bytes += uint64(size)
-		rt.stats.ForwardCost += rt.SwitchCost
-		ch := rt.k.Pool.AllocNoWait(size)
-		if ch == nil {
-			rt.stats.Dropped++
-			return
-		}
-		ch.Tag = tag // the protocol payload rides along
-		fwd := &tradapter.Outgoing{
-			Chain:     ch,
-			Size:      size,
-			Class:     class,
-			Dst:       dst,
-			RoutedDst: dst,
-			Capture:   capture,
-		}
-		pool := rt.k.Pool
-		fwd.Done = func(ring.DeliveryStatus) { pool.Free(ch) }
-		rt.ports[egress].Driver.Output(fwd)
-		if depth := rt.ports[egress].Driver.Stats().MaxTxQueue; depth > rt.stats.QueueMax {
-			rt.stats.QueueMax = depth
-		}
-	}))
+	m := h.k.Machine
+	segs := append(j.segs[:0], rtpc.Do("switch", h.SwitchCost)) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
+	segs = m.AppendCopySegs(segs, "forward-copy", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rcv.ReleaseSeg("release"), rtpc.Seg{Name: "hand-off", Fn: j.handOffFn}) //ctmsvet:allow hotpath cold refill path: a job's program grows only until it first reaches its longest shape, then is rewritten in place
+	j.segs = segs
 	return segs
+}
+
+//ctmsvet:hotpath
+func (h *Half) allocJob() *ingressJob {
+	if j := h.jobs; j != nil {
+		h.jobs, j.nextFree = j.nextFree, nil
+		return j
+	}
+	j := &ingressJob{h: h}  //ctmsvet:allow hotpath cold refill path, runs only until the job list reaches steady state
+	j.handOffFn = j.handOff //ctmsvet:allow hotpath cold refill path, bound once per pooled job
+	return j
+}
+
+// handOff is the ingress program's final mark: the frame leaves this
+// shard as a value, and the job returns to the free list.
+//
+//ctmsvet:hotpath
+func (j *ingressJob) handOff() []rtpc.Seg {
+	h := j.h
+	h.stats.Forwarded++
+	h.stats.Bytes += uint64(j.fwd.Size)
+	h.Forward(j.fwd)
+	j.fwd = Forwarded{}
+	j.nextFree, h.jobs = h.jobs, j
+	return nil
+}
+
+// getEnv pops a free envelope, building one — permanent chain shell,
+// prebuilt chain-freeing Done — on the cold path only.
+//
+//ctmsvet:hotpath
+func (h *Half) getEnv() *tradapter.Outgoing {
+	if n := len(h.envs.free); n > 0 {
+		out := h.envs.free[n-1]
+		h.envs.free[n-1] = nil
+		h.envs.free = h.envs.free[:n-1]
+		return out
+	}
+	out := &tradapter.Outgoing{Chain: &kernel.Chain{}} //ctmsvet:allow hotpath cold refill path, runs only until the envelope pool reaches steady state
+	pool, ch := h.k.Pool, out.Chain
+	out.Done = func(ring.DeliveryStatus) { pool.Free(ch) } //ctmsvet:allow hotpath the Done closure is built once per pooled envelope, not per frame
+	return out
+}
+
+// putEnv clears a dead envelope and returns it to the pool. Runs via the
+// driver's recycle callback, on this half's own shard.
+//
+//ctmsvet:hotpath
+func (h *Half) putEnv(out *tradapter.Outgoing) {
+	out.Chain.Tag = nil
+	out.Dst, out.RoutedDst, out.RoutedRing = 0, 0, 0
+	out.Capture = nil
+	h.envs.free = append(h.envs.free, out) //ctmsvet:allow hotpath envelope pool grows to the in-flight high-water mark once, then reuses the array
+}
+
+// Inject re-transmits a forwarded frame onto this half's ring: the final
+// delivery hop when DstRing is this ring, or the next bridge otherwise.
+// The shard engine calls it at the frame's arrival time (send time plus
+// the link's store-and-forward latency), from this half's own shard. The
+// whole egress — envelope, chain shell, mbuf nodes, completion hooks —
+// comes from shard-owned free lists, so steady-state forwarding allocates
+// nothing.
+//
+//ctmsvet:hotpath
+func (h *Half) Inject(f Forwarded) {
+	out := h.getEnv()
+	if !h.k.Pool.AllocInto(out.Chain, f.Size) {
+		h.stats.Dropped++
+		h.putEnv(out)
+		return
+	}
+	out.Chain.Tag = f.Tag
+	out.Size = f.Size
+	out.Class = f.Class
+	out.Capture = f.Capture
+	if f.DstRing == h.ringIdx {
+		out.Dst = f.Dst
+	} else {
+		via := h.nextHop[f.DstRing]
+		if via == 0 {
+			sim.Checkf(false, "half r%d: no route toward ring %d", h.ringIdx, f.DstRing)
+		}
+		out.Dst = via
+		out.RoutedDst = f.Dst
+		out.RoutedRing = f.DstRing + 1
+	}
+	out.SetRecycle(h.recycleEnv)
+	h.stats.Injected++
+	h.drv.Output(out)
+	if depth := h.drv.Stats().MaxTxQueue; depth > h.stats.QueueMax {
+		h.stats.QueueMax = depth
+	}
 }

@@ -11,11 +11,13 @@ import (
 	"repro/internal/tradapter"
 )
 
-// twoRingRig: a source on ring 0, a sink on ring 1, a router between.
+// twoRingRig: a source on ring 0, a sink on ring 1, and between them a
+// router built the way E14 builds it — two halves on one RT/PC kernel,
+// each forwarding straight into the other's Inject.
 type twoRingRig struct {
 	sched  *sim.Scheduler
-	r0, r1 *ring.Ring
-	rt     *Router
+	k      *kernel.Kernel // the router's one machine
+	ha, hb *Half          // ha on ring 0, hb on ring 1
 	srcK   *kernel.Kernel
 	srcDrv *tradapter.Driver
 	dstK   *kernel.Kernel
@@ -30,7 +32,10 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
 	r1 := ring.New(sched, cfg2)
-	rt := New(sched, "router", r0, r1, 9)
+	k := kernel.New(rtpc.NewMachine(sched, "router", rtpc.DefaultCostModel(), 9))
+	ha := NewHalf(k, "router-p0", r0, 0, 2)
+	hb := NewHalf(k, "router-p1", r1, 1, 2)
+	ha.Forward, hb.Forward = hb.Inject, ha.Inject
 
 	mk := func(name string, rg *ring.Ring) (*kernel.Kernel, *tradapter.Driver) {
 		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 9)
@@ -46,24 +51,43 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	}
 	srcK, srcDrv := mk("src", r0)
 	dstK, dstDrv := mk("dst", r1)
-	rt.AddRoute(0, dstDrv.Station().Addr(), 1)
-	return &twoRingRig{sched: sched, r0: r0, r1: r1, rt: rt, srcK: srcK, srcDrv: srcDrv, dstK: dstK, dstDrv: dstDrv}
+	return &twoRingRig{sched: sched, k: k, ha: ha, hb: hb, srcK: srcK, srcDrv: srcDrv, dstK: dstK, dstDrv: dstDrv}
+}
+
+// output queues one CTMSP packet on drv (whose kernel is k), MAC-addressed
+// to the bridge half via and carrying routedRing/routedDst.
+func output(k *kernel.Kernel, drv *tradapter.Driver, via *Half, routedRing int, routedDst ring.Addr, num uint32, size int) {
+	ch := k.Pool.AllocNoWait(size)
+	ch.Tag = ctmsp.Header{PacketNum: num, Length: uint32(size)}
+	pool := k.Pool
+	drv.Output(&tradapter.Outgoing{
+		Chain:      ch,
+		Size:       size,
+		Class:      tradapter.ClassCTMSP,
+		Dst:        via.Station().Addr(),
+		RoutedDst:  routedDst,
+		RoutedRing: routedRing,
+		Done:       func(ring.DeliveryStatus) { pool.Free(ch) },
+	})
 }
 
 // send pushes one CTMSP packet from src toward dst via the router.
 func (rig *twoRingRig) send(num uint32, size int) {
-	ch := rig.srcK.Pool.AllocNoWait(size)
-	ch.Tag = ctmsp.Header{PacketNum: num, Length: uint32(size)}
-	pool := rig.srcK.Pool
-	p := &tradapter.Outgoing{
-		Chain:     ch,
-		Size:      size,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(0).Driver.Station().Addr(),
-		RoutedDst: rig.dstDrv.Station().Addr(),
-		Done:      func(ring.DeliveryStatus) { pool.Free(ch) },
-	}
-	rig.srcDrv.Output(p)
+	output(rig.srcK, rig.srcDrv, rig.ha, 2, rig.dstDrv.Station().Addr(), num, size)
+}
+
+// reply pushes one CTMSP packet from dst back toward src via the router.
+func (rig *twoRingRig) reply(num uint32, size int) {
+	output(rig.dstK, rig.dstDrv, rig.hb, 1, rig.srcDrv.Station().Addr(), num, size)
+}
+
+// count installs a CTMSP handler on drv that counts and releases frames.
+func count(drv *tradapter.Driver, n *int) {
+	drv.SetHandler(tradapter.ClassCTMSP, func(rcv *tradapter.Received) []rtpc.Seg {
+		*n++
+		rcv.Release()
+		return nil
+	})
 }
 
 func TestRouterForwardsAcrossRings(t *testing.T) {
@@ -87,26 +111,35 @@ func TestRouterForwardsAcrossRings(t *testing.T) {
 			t.Fatalf("order broken across the router: %v", got)
 		}
 	}
-	st := rig.rt.Stats()
-	if st.Forwarded[0] != 10 || st.Dropped != 0 {
-		t.Fatalf("router stats: %+v", st)
+	a, b := rig.ha.Stats(), rig.hb.Stats()
+	if a.Forwarded != 10 || b.Injected != 10 || a.Dropped+b.Dropped != 0 {
+		t.Fatalf("router stats: ingress %+v, egress %+v", a, b)
 	}
 }
 
+// TestRouterDropsUnroutable: a frame MAC-addressed to the bridge must
+// name a final ring other than the one it arrived on. Both kinds of
+// misaddressed frame are dropped at ingress and never reach ring 1.
 func TestRouterDropsUnroutable(t *testing.T) {
-	rig := newTwoRings(t)
-	ch := rig.srcK.Pool.AllocNoWait(500)
-	ch.Tag = ctmsp.Header{}
-	rig.srcDrv.Output(&tradapter.Outgoing{
-		Chain:     ch,
-		Size:      500,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(0).Driver.Station().Addr(),
-		RoutedDst: 250, // no route
-	})
-	rig.sched.RunUntil(sim.Second)
-	if rig.rt.Stats().Dropped != 1 {
-		t.Fatalf("unroutable frame should drop: %+v", rig.rt.Stats())
+	cases := []struct {
+		name       string
+		routedRing int
+	}{
+		{"no routed ring", 0},
+		{"already on its final ring", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newTwoRings(t)
+			var atDst int
+			count(rig.dstDrv, &atDst)
+			output(rig.srcK, rig.srcDrv, rig.ha, tc.routedRing, rig.dstDrv.Station().Addr(), 0, 500)
+			rig.sched.RunUntil(sim.Second)
+			a := rig.ha.Stats()
+			if a.Dropped != 1 || a.Forwarded != 0 || rig.hb.Stats().Injected != 0 || atDst != 0 {
+				t.Fatalf("unroutable frame should drop at ingress: %+v, delivered %d", a, atDst)
+			}
+		})
 	}
 }
 
@@ -141,48 +174,65 @@ func TestRouterKeepsUpWithCTMSRate(t *testing.T) {
 		t.Fatalf("queueing delay grew: last packet lagged %v", lag)
 	}
 	// Router CPU must be sustainable.
-	util := float64(rig.rt.Kernel().CPU().Stats().BusyTime) / float64(rig.sched.Now())
+	util := float64(rig.k.CPU().Stats().BusyTime) / float64(rig.sched.Now())
 	if util > 0.5 {
 		t.Fatalf("router CPU unsustainable: %.2f", util)
 	}
 	t.Logf("router: delivered %d/%d, cpu %.1f%%", delivered, n, 100*util)
 }
 
+// TestRouterBidirectional forwards traffic both ways through the one
+// machine, then checks that the two directions really share its CPU: a
+// single direction's ingress AND egress run on it, and its busy time with
+// both directions running exceeds what either costs alone.
 func TestRouterBidirectional(t *testing.T) {
-	rig := newTwoRings(t)
-	// Add the reverse route and a responder on ring 1.
-	rig.rt.AddRoute(1, rig.srcDrv.Station().Addr(), 0)
+	const frames = 20
+	run := func(fwd, rev bool) (*twoRingRig, int, int) {
+		rig := newTwoRings(t)
+		var atSrc, atDst int
+		count(rig.dstDrv, &atDst)
+		count(rig.srcDrv, &atSrc)
+		for i := 0; i < frames; i++ {
+			if fwd {
+				rig.send(uint32(i), 1000)
+			}
+			if rev {
+				rig.reply(uint32(i), 1000)
+			}
+		}
+		rig.sched.RunUntil(2 * sim.Second)
+		return rig, atSrc, atDst
+	}
 
-	var atSrc, atDst int
-	rig.dstDrv.SetHandler(tradapter.ClassCTMSP, func(rcv *tradapter.Received) []rtpc.Seg {
-		atDst++
-		rcv.Release()
-		return nil
-	})
-	rig.srcDrv.SetHandler(tradapter.ClassCTMSP, func(rcv *tradapter.Received) []rtpc.Seg {
-		atSrc++
-		rcv.Release()
-		return nil
-	})
-	rig.send(1, 1000)
-	// And one the other way.
-	ch := rig.dstK.Pool.AllocNoWait(1000)
-	ch.Tag = ctmsp.Header{PacketNum: 2}
-	rig.dstDrv.Output(&tradapter.Outgoing{
-		Chain:     ch,
-		Size:      1000,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(1).Driver.Station().Addr(),
-		RoutedDst: rig.srcDrv.Station().Addr(),
-	})
-	rig.sched.RunUntil(2 * sim.Second)
-	if atDst != 1 || atSrc != 1 {
-		t.Fatalf("bidirectional forwarding: src=%d dst=%d", atSrc, atDst)
+	rig, atSrc, atDst := run(true, true)
+	if atDst != frames || atSrc != frames {
+		t.Fatalf("bidirectional forwarding: src=%d dst=%d, want %d each", atSrc, atDst, frames)
 	}
-	st := rig.rt.Stats()
-	if st.Forwarded[0] != 1 || st.Forwarded[1] != 1 {
-		t.Fatalf("per-port accounting: %+v", st)
+	if a, b := rig.ha.Stats(), rig.hb.Stats(); a.Forwarded != frames || b.Forwarded != frames ||
+		a.Injected != frames || b.Injected != frames {
+		t.Fatalf("per-half accounting: p0 %+v, p1 %+v", a, b)
 	}
+
+	busy := func(r *twoRingRig) sim.Time { return r.k.CPU().Stats().BusyTime }
+	// The forward direction's ingress alone: p0 switches and copies, and
+	// the hand-off goes nowhere.
+	ingress := newTwoRings(t)
+	ingress.ha.Forward = func(Forwarded) {}
+	for i := 0; i < frames; i++ {
+		ingress.send(uint32(i), 1000)
+	}
+	ingress.sched.RunUntil(2 * sim.Second)
+	fwdOnly, _, _ := run(true, false)
+	revOnly, _, _ := run(false, true)
+	both, one, other, in := busy(rig), busy(fwdOnly), busy(revOnly), busy(ingress)
+	if one <= in {
+		t.Fatalf("egress is not on the router CPU: busy forward only=%v, its ingress alone=%v", one, in)
+	}
+	if both <= one || both <= other {
+		t.Fatalf("directions do not share the router CPU: busy both=%v, forward only=%v, reverse only=%v",
+			both, one, other)
+	}
+	t.Logf("router busy: both %v, forward only %v (ingress %v), reverse only %v", both, one, in, other)
 }
 
 // TestHalfEnvelopePoolReuses pins the split bridge's pooled egress: the
@@ -193,7 +243,8 @@ func TestRouterBidirectional(t *testing.T) {
 func TestHalfEnvelopePoolReuses(t *testing.T) {
 	sched := sim.NewScheduler()
 	rg := ring.New(sched, ring.DefaultConfig())
-	h := NewHalf(sched, "half", rg, 0, 2, 9)
+	k := kernel.New(rtpc.NewMachine(sched, "half", rtpc.DefaultCostModel(), 9))
+	h := NewHalf(k, "half", rg, 0, 2)
 
 	e1 := h.getEnv()
 	if e1.Chain == nil || e1.Done == nil {

@@ -3,8 +3,10 @@ package topo
 import (
 	"fmt"
 
+	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/router"
+	"repro/internal/rtpc"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
@@ -71,6 +73,8 @@ type link struct {
 type stream struct {
 	*session.Stream
 	spec StreamSpec
+	// dec is the admitted reservation, or the refusing ring's own
+	// decision; Results prefixes its reason with refusedBy.
 	dec  session.Decision
 	path []int // rings along the route, source first
 	// refusedBy is the ring whose admission refused the stream (rejected
@@ -167,10 +171,13 @@ func (n *Network) buildLinks() {
 	dir := 0
 	for li, ls := range spec.Links {
 		a, b := n.shards[ls.A], n.shards[ls.B]
-		halfA := router.NewHalf(a.Sched, fmt.Sprintf("br%d-r%d", li, ls.A),
-			a.Ring, ls.A, spec.Rings, session.MixSeed(spec.Seed, saltHalf+uint64(li)*2))
-		halfB := router.NewHalf(b.Sched, fmt.Sprintf("br%d-r%d", li, ls.B),
-			b.Ring, ls.B, spec.Rings, session.MixSeed(spec.Seed, saltHalf+uint64(li)*2+1))
+		half := func(sh *shard, r int, seed int64) *router.Half {
+			name := fmt.Sprintf("br%d-r%d", li, r)
+			k := kernel.New(rtpc.NewMachine(sh.Sched, name, rtpc.DefaultCostModel(), seed))
+			return router.NewHalf(k, name, sh.Ring, r, spec.Rings)
+		}
+		halfA := half(a, ls.A, session.MixSeed(spec.Seed, saltHalf+uint64(li)*2))
+		halfB := half(b, ls.B, session.MixSeed(spec.Seed, saltHalf+uint64(li)*2+1))
 		lk := &link{spec: ls, halfA: halfA, halfB: halfB}
 		lk.ab = newInbox(dir, halfB)
 		dir++
@@ -247,9 +254,7 @@ func (n *Network) buildStream(i int, spec StreamSpec) error {
 	for _, r := range path {
 		d := n.shards[r].Ctrl.Admit(i, spec.Class, offered)
 		if !d.Admitted {
-			st.dec = session.Decision{Admitted: false,
-				Reason: fmt.Sprintf("ring %d: %s", r, d.Reason)}
-			st.refusedBy = r
+			st.dec, st.refusedBy = d, r
 			for _, g := range granted {
 				n.shards[g].Ctrl.Release(i)
 			}

@@ -117,6 +117,8 @@ func (n *Network) collect(workers int) *Results {
 			r.LatencyMax = st.latMax
 			r.LatencySum = st.latSum
 			r.LatencyN = st.latN
+		} else {
+			r.Decision.Reason = fmt.Sprintf("ring %d: %s", st.refusedBy, st.dec.Reason)
 		}
 		res.Streams[i] = r
 	}

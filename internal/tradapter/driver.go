@@ -155,15 +155,14 @@ type Outgoing struct {
 	Class Class
 	Dst   ring.Addr
 	// RoutedDst is the final destination when the frame crosses a
-	// router: Dst addresses the router's ingress port (or the target on
-	// the final ring), RoutedDst names the end station. Zero means local
+	// router: Dst addresses the bridge station (or the target on the
+	// final ring), RoutedDst names the end station. Zero means local
 	// delivery.
 	RoutedDst ring.Addr
 	// RoutedRing is the 1-based internetwork ring index the RoutedDst
-	// address lives on, for topologies with more than two rings (each
-	// ring has its own address space, so RoutedDst alone cannot name a
-	// station across a multi-hop path). Zero means the two-ring legacy
-	// interpretation: RoutedDst is in the egress ring's space.
+	// address lives on (each ring has its own address space, so
+	// RoutedDst alone cannot name a station across a multi-hop path).
+	// Zero means local delivery.
 	RoutedRing int
 	// CopyBytes is how many bytes the CPU copies into the fixed DMA
 	// buffer (§5.3's "header only" vs "header and data" toggle). Zero
